@@ -1,6 +1,6 @@
-// Experiments F6/F7/F8, F13, F14 (DESIGN.md): end-to-end cross-chain
-// transfer protocol costs through the full engine (MC mining + SC sync +
-// forging + recursive proving + certificate verification).
+// End-to-end cross-chain transfer protocol costs through the full engine
+// (MC mining + SC sync + forging + recursive proving + certificate
+// verification).
 //
 // Series: forward-transfer batch sync (Fig. 13) vs batch size; a complete
 // withdrawal-epoch cycle (Figs. 6-8, 11, 14) vs per-epoch payment count —

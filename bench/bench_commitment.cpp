@@ -1,4 +1,4 @@
-// Experiment F4/F12 (DESIGN.md): SCTxsCommitment tree costs — Figs. 4/12.
+// SCTxsCommitment tree costs — Figs. 4/12.
 //
 // Series: commitment build vs #sidechains and #txs per sidechain;
 // membership proof (mproof) and proof-of-no-data generation/verification.

@@ -1,5 +1,4 @@
-// Experiment F5 (DESIGN.md): Ouroboros-style slot-leader selection — the
-// Fig. 5 epoch/slot machinery.
+// Ouroboros-style slot-leader selection — the Fig. 5 epoch/slot machinery.
 //
 // Series: single-slot selection vs stakeholder count (O(log n) after the
 // prefix-sum build), full epoch schedule, stake snapshot construction, and

@@ -1,0 +1,100 @@
+// Crypto kernel costs: the secp256k1 field multiplication and the Schnorr
+// operations that every movement of value pays for — MC transaction
+// inputs, Latus payments and backward transfers (§5.3), the BTR/CSW
+// ownership checks (§5.5.3.2/.3) and their re-execution inside the Base
+// SNARK prover (Def 2.4).
+//
+// Series: one Fp::mul (a dependent chain, so it measures latency as the
+// point formulas see it), one signature, one verification, one keypair
+// derivation. Inputs rotate over a seeded pool of 64.
+#include "bench_json.hpp"
+
+#include <vector>
+
+#include "crypto/ecc.hpp"
+#include "crypto/rng.hpp"
+
+namespace {
+
+using namespace zendoo;
+using crypto::Digest;
+using crypto::KeyPair;
+using crypto::Signature;
+
+constexpr std::size_t kPool = 64;
+
+std::vector<Digest> digests(std::uint64_t seed) {
+  crypto::Rng rng(seed);
+  std::vector<Digest> out;
+  out.reserve(kPool);
+  for (std::size_t i = 0; i < kPool; ++i) out.push_back(rng.next_digest());
+  return out;
+}
+
+std::vector<KeyPair> keys() {
+  std::vector<KeyPair> out;
+  out.reserve(kPool);
+  for (const Digest& seed : digests(1)) out.push_back(KeyPair::from_seed(seed));
+  return out;
+}
+
+void BM_FpMul(benchmark::State& state) {
+  crypto::Rng rng(4);
+  std::vector<crypto::Fp> xs;
+  xs.reserve(kPool);
+  for (std::size_t i = 0; i < kPool; ++i) {
+    xs.push_back(crypto::Fp::from(rng.next_u256()));
+  }
+  crypto::Fp acc = xs[0];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    acc = acc.mul(xs[i++ % kPool]);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FpMul);
+
+void BM_SchnorrSign(benchmark::State& state) {
+  const std::vector<KeyPair> ks = keys();
+  const std::vector<Digest> msgs = digests(2);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t k = i++ % kPool;
+    Signature sig = ks[k].sign(msgs[k]);
+    benchmark::DoNotOptimize(sig);
+  }
+}
+BENCHMARK(BM_SchnorrSign);
+
+void BM_SchnorrVerify(benchmark::State& state) {
+  const std::vector<KeyPair> ks = keys();
+  const std::vector<Digest> msgs = digests(2);
+  std::vector<Signature> sigs;
+  sigs.reserve(kPool);
+  for (std::size_t i = 0; i < kPool; ++i) sigs.push_back(ks[i].sign(msgs[i]));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t k = i++ % kPool;
+    bool ok = crypto::verify_signature(ks[k].public_key(), msgs[k], sigs[k]);
+    benchmark::DoNotOptimize(ok);
+    if (!ok) {
+      state.SkipWithError("valid signature rejected");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_SchnorrVerify);
+
+void BM_KeyFromSeed(benchmark::State& state) {
+  const std::vector<Digest> seeds = digests(3);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    KeyPair kp = KeyPair::from_seed(seeds[i++ % kPool]);
+    benchmark::DoNotOptimize(kp);
+  }
+}
+BENCHMARK(BM_KeyFromSeed);
+
+}  // namespace
+
+ZENDOO_BENCH_MAIN("crypto");

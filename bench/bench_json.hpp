@@ -72,14 +72,17 @@ inline std::string json_number(double v) {
   return os.str();
 }
 
-/// ConsoleReporter that additionally records every run for the JSON file.
+/// ConsoleReporter that additionally records every measured run for the
+/// JSON file. Aggregate rows (Complexity()'s _BigO/_RMS, repetition
+/// mean/median/stddev) are derived, not measured, so only the console
+/// shows them.
 class JsonTeeReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonTeeReporter(std::string area) : area_(std::move(area)) {}
 
   void ReportRuns(const std::vector<Run>& report) override {
     for (const Run& run : report) {
-      if (run.error_occurred) continue;
+      if (run.error_occurred || run.run_type == Run::RT_Aggregate) continue;
       Record r;
       r.name = run.benchmark_name();
       r.iterations = static_cast<long long>(run.iterations);

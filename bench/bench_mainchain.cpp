@@ -1,5 +1,5 @@
-// Experiment F3 (DESIGN.md): mainchain-side costs of the CCTP — the Fig. 3
-// withdrawal-epoch machinery plus ordinary block processing.
+// Mainchain-side costs of the CCTP — the Fig. 3 withdrawal-epoch machinery
+// plus ordinary block processing.
 //
 // Series: block validation/connection vs payment count (signature-bound),
 // epoch bookkeeping (finalization sweep) vs number of registered

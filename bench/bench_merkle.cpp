@@ -1,4 +1,4 @@
-// Experiment F2 (DESIGN.md): Merkle Hash Tree costs — Fig. 2 mechanism.
+// Merkle Hash Tree costs — Fig. 2 mechanism.
 //
 // Series: build time vs leaf count (linear), proof generation (O(log n)),
 // proof verification (O(log n)), proof size in hashes (log n).

@@ -1,5 +1,5 @@
-// Experiments F9 and F15/F16 (DESIGN.md): Merkle State Tree costs — the
-// Fig. 9 accounting structure and the Appendix-A mst_delta mechanism.
+// Merkle State Tree costs — the Fig. 9 accounting structure and the
+// Appendix-A mst_delta mechanism.
 //
 // Series: insert/erase/prove at various depths (all O(depth), independent
 // of capacity thanks to sparsity), delta merge/hash, and the

@@ -1,5 +1,4 @@
-// Experiment T-SNARK (DESIGN.md): Def 2.3 succinctness, on the simulated
-// proving system.
+// Def 2.3 succinctness, on the simulated proving system.
 //
 // Series: R1CS satisfiability checking / Prove time vs constraint count
 // (linear — the prover must evaluate the whole circuit) and Verify time vs

@@ -8,7 +8,7 @@
 // least `threshold` valid certifier signatures. Mainchain verification
 // cost is therefore Θ(threshold) signature checks — versus Zendoo's single
 // constant-time SNARK verification. bench_wcert regenerates exactly this
-// comparison (experiment T-VERIFY in DESIGN.md).
+// comparison.
 #pragma once
 
 #include <vector>

@@ -1,6 +1,7 @@
 #include "crypto/ecc.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 namespace zendoo::crypto {
 
@@ -17,7 +18,7 @@ const u256 kGy = u256::from_hex(
 
 namespace {
 // p = 2^256 - kC, kC = 2^32 + 977.
-const u256 kC{0x1000003D1ULL};
+constexpr std::uint64_t kC = 0x1000003D1ULL;
 }  // namespace
 
 Fp Fp::add(const Fp& o) const {
@@ -34,19 +35,28 @@ Fp Fp::neg() const {
 }
 
 Fp Fp::mul(const Fp& o) const {
-  // x = hi*2^256 + lo ≡ hi*kC + lo (mod p). hi*kC has at most 289 bits so
-  // two folding rounds always suffice.
+  using u128 = unsigned __int128;
+  // x = hi*2^256 + lo ≡ lo + hi*kC (mod p): four single-limb products fold
+  // hi in, leaving a carry limb c <= kC. c*kC < 2^65 folds in the same
+  // way; if that wraps past 2^256, the wrap is worth kC once more and the
+  // remainder is then far below p.
   auto [hi, lo] = u256::mul_wide(v, o.v);
-  while (!hi.is_zero()) {
-    auto [h2, l2] = u256::mul_wide(hi, kC);
-    u256 sum;
-    bool carry = u256::add_with_carry(lo, l2, sum);
-    lo = sum;
-    hi = h2;
-    if (carry) hi = hi + u256{1};
+  u256 r;
+  u128 acc = 0;
+  for (int i = 0; i < 4; ++i) {
+    acc += static_cast<u128>(hi.limb[i]) * kC + lo.limb[i];
+    r.limb[i] = static_cast<std::uint64_t>(acc);
+    acc >>= 64;
   }
-  while (!(lo < secp256k1::kP)) lo = lo - secp256k1::kP;
-  return Fp{lo};
+  acc *= kC;
+  for (int i = 0; i < 4; ++i) {
+    acc += r.limb[i];
+    r.limb[i] = static_cast<std::uint64_t>(acc);
+    acc >>= 64;
+  }
+  if (acc != 0) r = r + u256{kC};
+  if (!(r < secp256k1::kP)) r = r - secp256k1::kP;
+  return Fp{r};
 }
 
 Fp Fp::inv() const {
@@ -182,13 +192,139 @@ u256 challenge(const u256& rx, const u256& ry,
   return digest_to_scalar(e);
 }
 
+/// An affine point, never infinity: a generator-table entry, or a public
+/// key or nonce point under verification.
+struct Affine {
+  Fp x, y;
+};
+
+bool on_curve(const Affine& p) {
+  return p.y.sqr() == p.x.sqr().mul(p.x).add(Fp{u256{7}});
+}
+
+/// a + b for Jacobian a and affine b (Z_b = 1 saves four products over
+/// ECPoint::add); the equal and opposite cases go the same way as there.
+ECPoint add_affine(const ECPoint& a, const Affine& b) {
+  if (a.is_infinity()) return {b.x, b.y, Fp::one()};
+  Fp z1z1 = a.Z.sqr();
+  Fp u2 = b.x.mul(z1z1);
+  Fp s2 = b.y.mul(z1z1).mul(a.Z);
+  if (a.X == u2) {
+    if (a.Y == s2) return a.dbl();
+    return ECPoint::infinity();
+  }
+  Fp h = u2.sub(a.X);
+  Fp i = h.add(h).sqr();
+  Fp j = h.mul(i);
+  Fp r = s2.sub(a.Y);
+  r = r.add(r);
+  Fp v = a.X.mul(i);
+  Fp x3 = r.sqr().sub(j).sub(v.add(v));
+  Fp yj = a.Y.mul(j);
+  Fp y3 = r.mul(v.sub(x3)).sub(yj.add(yj));
+  Fp z3 = a.Z.mul(h);
+  z3 = z3.add(z3);
+  return {x3, y3, z3};
+}
+
+// Scalars are read in 4-bit windows: 64 digits, each selecting one of 15
+// nonzero multiples of a point.
+constexpr unsigned kWindows = 64;
+constexpr unsigned kMultiples = 15;
+
+/// 4-bit digit i of k, counted from the least significant.
+unsigned nibble(const u256& k, unsigned i) {
+  return static_cast<unsigned>(k.limb[i / 16] >> (4 * (i % 16))) & 0xF;
+}
+
+/// Fixed-base comb for G: row i holds d * 16^i * G for d = 1..15, affine.
+/// k*G is then one table point per nonzero 4-bit digit of k with no
+/// doublings, and row 0 is G's 4-bit window table in verification.
+/// 64 x 15 points (60 KiB), built once and read-only afterwards, so the
+/// CheckQueue workers that verify concurrently share it without locks.
+class GeneratorTable {
+ public:
+  GeneratorTable();
+
+  [[nodiscard]] const Affine& at(unsigned row, unsigned digit) const {
+    return pts_[row][digit - 1];
+  }
+
+ private:
+  Affine pts_[kWindows][kMultiples];
+};
+
+GeneratorTable::GeneratorTable() {
+  std::vector<ECPoint> jac;
+  jac.reserve(kWindows * kMultiples);
+  ECPoint base = ECPoint::generator();
+  for (unsigned row = 0; row < kWindows; ++row) {
+    ECPoint multiple = base;
+    for (unsigned d = 1; d <= kMultiples; ++d) {
+      jac.push_back(multiple);
+      multiple = multiple.add(base);
+    }
+    base = multiple;
+  }
+  // One shared inversion (Montgomery's trick) takes every point to affine:
+  // prefix[k] = Z_0 * ... * Z_{k-1}.
+  std::vector<Fp> prefix(jac.size());
+  Fp acc = Fp::one();
+  for (std::size_t k = 0; k < jac.size(); ++k) {
+    prefix[k] = acc;
+    acc = acc.mul(jac[k].Z);
+  }
+  Fp inv = acc.inv();
+  for (std::size_t k = jac.size(); k-- > 0;) {
+    Fp zinv = inv.mul(prefix[k]);
+    inv = inv.mul(jac[k].Z);
+    Fp zinv2 = zinv.sqr();
+    pts_[k / kMultiples][k % kMultiples] = {jac[k].X.mul(zinv2),
+                                            jac[k].Y.mul(zinv2).mul(zinv)};
+  }
+}
+
+const GeneratorTable& generator_table() {
+  static const GeneratorTable table;
+  return table;
+}
+
+/// k*G for k in [1, n).
+ECPoint mul_generator(const u256& k) {
+  const GeneratorTable& table = generator_table();
+  ECPoint acc = ECPoint::infinity();
+  for (unsigned i = 0; i < kWindows; ++i) {
+    if (unsigned d = nibble(k, i)) acc = add_affine(acc, table.at(i, d));
+  }
+  return acc;
+}
+
+/// a*G + b*P in one pass over the 4-bit windows of both scalars, most
+/// significant first (Strauss-Shamir): the doublings are shared, and each
+/// window adds at most one entry of G's table and one of P's.
+ECPoint mul_generator_add(const u256& a, const Affine& p, const u256& b) {
+  ECPoint ptab[kMultiples];
+  ptab[0] = {p.x, p.y, Fp::one()};
+  for (unsigned d = 1; d < kMultiples; ++d) {
+    ptab[d] = add_affine(ptab[d - 1], p);
+  }
+  const GeneratorTable& table = generator_table();
+  ECPoint acc = ECPoint::infinity();
+  for (unsigned i = kWindows; i-- > 0;) {
+    acc = acc.dbl().dbl().dbl().dbl();
+    if (unsigned d = nibble(a, i)) acc = add_affine(acc, table.at(0, d));
+    if (unsigned d = nibble(b, i)) acc = acc.add(ptab[d - 1]);
+  }
+  return acc;
+}
+
 }  // namespace
 
 KeyPair KeyPair::from_seed(const Digest& seed) {
   KeyPair kp;
   Digest skd = Hasher(Domain::kSignatureNonce).write(seed).finalize();
   kp.sk_ = digest_to_scalar(skd);
-  kp.pk_ = ECPoint::generator().mul(kp.sk_).to_affine();
+  kp.pk_ = mul_generator(kp.sk_).to_affine();
   return kp;
 }
 
@@ -206,7 +342,7 @@ Signature KeyPair::sign(const Digest& msg) const {
   Digest kd =
       Hasher(Domain::kSignatureNonce).write(sk_).write(msg).finalize();
   u256 k = digest_to_scalar(kd);
-  auto [rx, ry] = ECPoint::generator().mul(k).to_affine();
+  auto [rx, ry] = mul_generator(k).to_affine();
   u256 e = challenge(rx, ry, pk_, msg);
   u256 s = u256::addmod(k, u256::mulmod(e, sk_, secp256k1::kN),
                         secp256k1::kN);
@@ -216,14 +352,16 @@ Signature KeyPair::sign(const Digest& msg) const {
 bool verify_signature(const std::pair<u256, u256>& public_key,
                       const Digest& msg, const Signature& sig) {
   if (sig.s.is_zero() || !(sig.s < secp256k1::kN)) return false;
-  ECPoint r = ECPoint::from_affine(sig.rx, sig.ry);
-  ECPoint p = ECPoint::from_affine(public_key.first, public_key.second);
-  if (!r.on_curve() || !p.on_curve()) return false;
+  const Affine r{Fp::from(sig.rx), Fp::from(sig.ry)};
+  const Affine p{Fp::from(public_key.first), Fp::from(public_key.second)};
+  if (!on_curve(r) || !on_curve(p)) return false;
   u256 e = challenge(sig.rx, sig.ry, public_key, msg);
-  // s*G == R + e*P
-  ECPoint lhs = ECPoint::generator().mul(sig.s);
-  ECPoint rhs = r.add(p.mul(e));
-  return lhs.equals(rhs);
+  // s*G == R + e*P  <=>  s*G + (n-e)*P == R, as P has order n.
+  ECPoint q = mul_generator_add(sig.s, p, secp256k1::kN - e);
+  if (q.is_infinity()) return false;
+  // ECPoint::equals against R with Z_R = 1.
+  Fp zz = q.Z.sqr();
+  return q.X == r.x.mul(zz) && q.Y == r.y.mul(zz).mul(q.Z);
 }
 
 }  // namespace zendoo::crypto

@@ -4,6 +4,9 @@
 // fast reduction enabled by p = 2^256 - 2^32 - 977, Jacobian-coordinate
 // point arithmetic, and a deterministic-nonce Schnorr signature scheme used
 // to authorize UTXO spends in both the mainchain and the Latus sidechain.
+// Signing takes k*G from a static fixed-base table, and verification
+// computes s*G - e*P in one joint double-scalar pass; both must agree with
+// the plain double-and-add ECPoint::mul.
 #pragma once
 
 #include <optional>
@@ -25,8 +28,9 @@ extern const u256 kGy;
 
 /// Arithmetic in GF(p) for the secp256k1 field prime.
 ///
-/// Multiplication uses the special form of p for a two-round reduction of
-/// the 512-bit product instead of generic long division.
+/// Multiplication uses the special form of p: the high half of the 512-bit
+/// product folds into the low half as hi * (2^32 + 977), one single-limb
+/// product per limb, instead of generic long division.
 struct Fp {
   u256 v;
 
@@ -104,7 +108,9 @@ class KeyPair {
   std::pair<u256, u256> pk_;
 };
 
-/// Verify a Schnorr signature against a public key and message digest.
+/// Verify a Schnorr signature against a public key and message digest:
+/// s in [1, n), R and P on the curve (coordinates taken mod p), and
+/// s*G == R + e*P.
 [[nodiscard]] bool verify_signature(const std::pair<u256, u256>& public_key,
                                     const Digest& msg, const Signature& sig);
 

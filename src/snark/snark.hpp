@@ -12,10 +12,10 @@
 //                      btr_vk, csw_vk), whose circuits are far too large to
 //                      hand-write as R1CS.
 //
-// Simulation model (documented in DESIGN.md §3): Setup deposits a secret in
-// a process-global oracle keyed by the key id; Prove checks that the
-// witness actually satisfies the circuit and only then emits the 32-byte
-// binding proof = H(secret ‖ circuit ‖ statement); Verify recomputes it.
+// Simulation model: Setup deposits a secret in a process-global oracle
+// keyed by the key id; Prove checks that the witness actually satisfies the
+// circuit and only then emits the 32-byte binding proof
+// = H(secret ‖ circuit ‖ statement); Verify recomputes it.
 // Completeness, knowledge-soundness (no path constructs a valid proof
 // without a satisfying witness, short of guessing a 256-bit MAC) and
 // succinctness (constant proof size, O(|statement|) verification) all hold.

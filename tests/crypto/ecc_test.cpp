@@ -40,6 +40,22 @@ TEST(Fp, FastReductionMatchesGenericMulmod) {
     u256 b = rng.next_u256().mod(secp256k1::kP);
     EXPECT_EQ(Fp{a}.mul(Fp{b}).v, u256::mulmod(a, b, secp256k1::kP));
   }
+  // Edge values, p = 2^256 - kC: near-p operands fold a carry limb close
+  // to kC a second time and wrap past 2^256, which random operands almost
+  // never do.
+  const u256& p = secp256k1::kP;
+  const u256 kc{0x1000003D1ULL};
+  const u256 edges[] = {u256{},           u256{1},
+                        u256{2},          p - u256{1},
+                        p - u256{2},      kc,
+                        p - kc,           u256{1} << 255,
+                        kc - u256{1}};  // (2^256 - 1) mod p
+  for (const u256& a : edges) {
+    for (const u256& b : edges) {
+      EXPECT_EQ(Fp{a}.mul(Fp{b}).v, u256::mulmod(a, b, p))
+          << a.to_hex() << " * " << b.to_hex();
+    }
+  }
 }
 
 TEST(ECPoint, GeneratorOnCurve) {
@@ -173,6 +189,138 @@ TEST_P(SchnorrSweep, ManyKeysRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Keys, SchnorrSweep, ::testing::Range(0, 8));
+
+// The Schnorr scheme written out with the plain ECPoint operations: the
+// double-and-add ECPoint::mul, ECPoint::add and the to_affine-based
+// ECPoint::on_curve. verify_signature and sign must agree with it exactly.
+u256 scalar_of(const Digest& d) {
+  u256 v = d.as_u256().mod(secp256k1::kN);
+  return v.is_zero() ? u256{1} : v;
+}
+
+u256 reference_challenge(const u256& rx, const u256& ry,
+                         const std::pair<u256, u256>& pk, const Digest& msg) {
+  return scalar_of(Hasher(Domain::kSignature)
+                       .write(rx)
+                       .write(ry)
+                       .write(pk.first)
+                       .write(pk.second)
+                       .write(msg)
+                       .finalize());
+}
+
+bool reference_verify(const std::pair<u256, u256>& pk, const Digest& msg,
+                      const Signature& sig) {
+  if (sig.s.is_zero() || !(sig.s < secp256k1::kN)) return false;
+  ECPoint r = ECPoint::from_affine(sig.rx, sig.ry);
+  ECPoint p = ECPoint::from_affine(pk.first, pk.second);
+  if (!r.on_curve() || !p.on_curve()) return false;
+  u256 e = reference_challenge(sig.rx, sig.ry, pk, msg);
+  return ECPoint::generator().mul(sig.s).equals(r.add(p.mul(e)));
+}
+
+/// Signs with a chosen secret and nonce, so tests reach keys and nonce
+/// points that seeded keys never produce (P = +-G, R = +-P).
+Signature reference_sign(const u256& sk, const u256& k, const Digest& msg) {
+  auto pk = ECPoint::generator().mul(sk).to_affine();
+  auto [rx, ry] = ECPoint::generator().mul(k).to_affine();
+  u256 e = reference_challenge(rx, ry, pk, msg);
+  return {rx, ry,
+          u256::addmod(k, u256::mulmod(e, sk, secp256k1::kN), secp256k1::kN)};
+}
+
+/// Runs verify_signature and the reference on (pk, msg, sig); returns the
+/// shared verdict.
+bool verify_both(const std::pair<u256, u256>& pk, const Digest& msg,
+                 const Signature& sig) {
+  bool fast = verify_signature(pk, msg, sig);
+  bool ref = reference_verify(pk, msg, sig);
+  EXPECT_EQ(fast, ref) << "pk.x=" << pk.first.to_hex()
+                       << " msg=" << msg.as_u256().to_hex()
+                       << " rx=" << sig.rx.to_hex() << " s=" << sig.s.to_hex();
+  return ref;
+}
+
+TEST(SchnorrDifferential, TableScalarMulMatchesDoubleAndAdd) {
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    KeyPair kp = KeyPair::from_seed(
+        Hasher(Domain::kGeneric).write_u64(i).finalize());
+    EXPECT_EQ(kp.public_key(),
+              ECPoint::generator().mul(kp.secret()).to_affine());
+    Digest msg = Hasher(Domain::kGeneric).write_u64(~i).finalize();
+    u256 k = scalar_of(Hasher(Domain::kSignatureNonce)
+                           .write(kp.secret())
+                           .write(msg)
+                           .finalize());
+    EXPECT_EQ(kp.sign(msg), reference_sign(kp.secret(), k, msg));
+  }
+}
+
+TEST(SchnorrDifferential, VerifyMatchesReferenceOnTamperedSignatures) {
+  const u256& n = secp256k1::kN;
+  const u256& p = secp256k1::kP;
+  Rng rng(53);
+  int accepted = 0;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    KeyPair kp = KeyPair::from_seed(
+        Hasher(Domain::kGeneric).write_u64(i).write_u64(1).finalize());
+    const auto& pk = kp.public_key();
+    Digest msg = rng.next_digest();
+    const Signature sig = kp.sign(msg);
+    accepted += verify_both(pk, msg, sig);
+
+    for (const u256& s : {u256{}, u256{1}, n - u256{1}, n,
+                          u256::addmod(sig.s, u256{1}, n)}) {
+      Signature t = sig;
+      t.s = s;
+      accepted += verify_both(pk, msg, t);
+    }
+    Signature t = sig;
+    t.rx = sig.rx + u256{1};
+    accepted += verify_both(pk, msg, t);
+    t.rx = sig.rx + p;  // wraps mod 2^256 unless rx < 2^32 + 977
+    accepted += verify_both(pk, msg, t);
+    t = sig;
+    t.ry = p - sig.ry;  // -R
+    accepted += verify_both(pk, msg, t);
+    t = sig;
+    t.rx = pk.first;  // R = P
+    t.ry = pk.second;
+    accepted += verify_both(pk, msg, t);
+    accepted += verify_both({pk.first, p - pk.second}, msg, sig);  // -P
+    accepted += verify_both({pk.first, pk.second + u256{1}}, msg, sig);
+    accepted += verify_both(pk, rng.next_digest(), sig);
+    accepted += verify_both(
+        {rng.next_u256(), rng.next_u256()}, msg,
+        Signature{rng.next_u256(), rng.next_u256(), rng.next_u256()});
+  }
+  EXPECT_EQ(accepted, 200);  // exactly the untampered signatures
+}
+
+TEST(SchnorrDifferential, VerifyMatchesReferenceOnDegenerateKeys) {
+  // P = +-G and small multiples share the generator's table, so the joint
+  // pass meets equal and opposite points; R = +-P likewise.
+  const u256& n = secp256k1::kN;
+  Rng rng(59);
+  int accepted = 0, cases = 0;
+  for (const u256& sk : {u256{1}, u256{2}, u256{3}, n - u256{1}, n - u256{2}}) {
+    auto pk = ECPoint::generator().mul(sk).to_affine();
+    for (int m = 0; m < 8; ++m) {
+      Digest msg = rng.next_digest();
+      for (const u256& k : {sk, n - sk, u256{1}, n - u256{1},
+                            rng.next_u256().mod(n)}) {
+        if (k.is_zero()) continue;
+        Signature sig = reference_sign(sk, k, msg);
+        accepted += verify_both(pk, msg, sig);
+        Signature bad = sig;
+        bad.s = u256::addmod(sig.s, u256{1}, n);
+        accepted += verify_both(pk, msg, bad);
+        cases += 1;
+      }
+    }
+  }
+  EXPECT_EQ(accepted, cases);
+}
 
 }  // namespace
 }  // namespace zendoo::crypto
