@@ -2,7 +2,8 @@
 // Appendix-A mst_delta mechanism.
 //
 // Series: insert/erase/prove at various depths (all O(depth), independent
-// of capacity thanks to sparsity), delta merge/hash, and the
+// of capacity thanks to sparsity), copy-then-mutate (a copy shares every
+// node, so it costs the mutation alone), delta merge/hash, and the
 // delta-unspentness check across k epochs.
 #include "bench_json.hpp"
 
@@ -72,6 +73,28 @@ void BM_MstOccupancyScaling(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MstOccupancyScaling)->RangeMultiplier(4)->Range(64, 65536);
+
+void BM_MstCopyThenInsert(benchmark::State& state) {
+  // The per-transaction pattern of forge_block and the prover: copy a
+  // depth-16 tree holding 256 slots, then insert one slot into the copy
+  // and erase another (a payment's output and input).
+  MerkleStateTree mst(16);
+  crypto::Rng rng(16);
+  std::vector<std::uint64_t> positions;
+  while (positions.size() < 256) {
+    std::uint64_t pos = rng.next_below(mst.capacity());
+    if (mst.insert(pos, rng.next_digest())) positions.push_back(pos);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    MerkleStateTree copy = mst;
+    std::uint64_t pos = rng.next_below(copy.capacity());
+    benchmark::DoNotOptimize(copy.insert(pos, rng.next_digest()));
+    benchmark::DoNotOptimize(copy.erase(positions[i++ % positions.size()]));
+    benchmark::DoNotOptimize(copy.root());
+  }
+}
+BENCHMARK(BM_MstCopyThenInsert);
 
 void BM_MstDeltaMergeHash(benchmark::State& state) {
   unsigned depth = static_cast<unsigned>(state.range(0));

@@ -28,6 +28,14 @@ class LatusNode {
   /// blocks (bounded ring of kMaxCheckpoints), so a rollback to a fork
   /// point restores the newest covering checkpoint and replays only the
   /// MC blocks after it — instead of rebuilding from genesis.
+  ///
+  /// A checkpoint is a full LatusNode copy. Every LatusState in it (the
+  /// live state, each pending transition step's witness pre-state, each
+  /// epoch snapshot and archived certificate state) shares its MST nodes
+  /// with the source, so the trees cost O(1) per copy. The copy still
+  /// duplicates each state's UTXO map and dense mst_delta, the SC chain,
+  /// the certificate archive map, the observed certificate history and
+  /// the MC hash index, so its cost still grows with history.
   static constexpr std::uint64_t kCheckpointInterval = 8;
   static constexpr std::size_t kMaxCheckpoints = 16;
   LatusNode(const SidechainId& ledger_id, std::uint64_t start_block,

@@ -1,6 +1,6 @@
 #include "merkle/mst.hpp"
 
-#include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -26,62 +26,98 @@ Digest MstDelta::hash() const {
   return h.finalize();
 }
 
+struct MerkleStateTree::Node {
+  Digest digest;
+  // Null = all-empty subtree. Leaves (level 0) have no children.
+  NodePtr left, right;
+};
+
+namespace {
+
+constexpr unsigned kMaxDepth = 48;
+
+/// Digest of an all-empty subtree of height `level` ([0] = empty leaf).
+/// Built once, read-only afterwards.
+const Digest& empty_digest(unsigned level) {
+  static const std::array<Digest, kMaxDepth + 1> table = [] {
+    std::array<Digest, kMaxDepth + 1> t;
+    t[0] = MerkleStateTree::empty_leaf_digest();
+    for (unsigned l = 1; l <= kMaxDepth; ++l) {
+      t[l] = crypto::hash_pair(Domain::kMerkleNode, t[l - 1], t[l - 1]);
+    }
+    return t;
+  }();
+  return table[level];
+}
+
+/// Bit of `pos` choosing the child of a node at `level` (1 = right).
+bool goes_right(std::uint64_t pos, unsigned level) {
+  return (pos >> (level - 1)) & 1;
+}
+
+}  // namespace
+
 Digest MerkleStateTree::empty_leaf_digest() {
   return crypto::Hasher(Domain::kMerkleEmpty).finalize();
 }
 
 MerkleStateTree::MerkleStateTree(unsigned depth) : depth_(depth) {
-  if (depth == 0 || depth > 48) {
+  if (depth == 0 || depth > kMaxDepth) {
     throw std::invalid_argument("MerkleStateTree: depth must be in [1,48]");
   }
-  empty_.resize(depth_ + 1);
-  empty_[0] = empty_leaf_digest();
-  for (unsigned l = 1; l <= depth_; ++l) {
-    empty_[l] =
-        crypto::hash_pair(Domain::kMerkleNode, empty_[l - 1], empty_[l - 1]);
-  }
-  nodes_.resize(depth_ + 1);
-  root_ = empty_[depth_];
+  root_ = empty_digest(depth_);
 }
 
-Digest MerkleStateTree::node(unsigned level, std::uint64_t index) const {
-  if (level == 0) {
-    auto it = leaves_.find(index);
-    return it == leaves_.end() ? empty_[0] : it->second;
+const MerkleStateTree::Node* MerkleStateTree::find_leaf(
+    std::uint64_t pos) const {
+  const Node* node = top_.get();
+  for (unsigned level = depth_; level > 0 && node != nullptr; --level) {
+    node = (goes_right(pos, level) ? node->right : node->left).get();
   }
-  auto it = nodes_[level].find(index);
-  return it == nodes_[level].end() ? empty_[level] : it->second;
+  return node;
 }
 
-void MerkleStateTree::update_path(std::uint64_t pos) {
-  std::uint64_t index = pos;
+void MerkleStateTree::set_leaf(std::uint64_t pos, NodePtr leaf) {
+  // Siblings of the path, indexed by the level of their parent; they stay
+  // alive through top_ until it is replaced below.
+  std::array<const NodePtr*, kMaxDepth + 1> siblings{};
+  const Node* node = top_.get();
+  for (unsigned level = depth_; level > 0 && node != nullptr; --level) {
+    bool right = goes_right(pos, level);
+    siblings[level] = right ? &node->left : &node->right;
+    node = (right ? node->right : node->left).get();
+  }
+  NodePtr cur = std::move(leaf);
   for (unsigned level = 1; level <= depth_; ++level) {
-    index >>= 1;
-    Digest left = node(level - 1, index * 2);
-    Digest right = node(level - 1, index * 2 + 1);
-    Digest parent = crypto::hash_pair(Domain::kMerkleNode, left, right);
-    if (parent == empty_[level]) {
-      nodes_[level].erase(index);
-    } else {
-      nodes_[level][index] = parent;
-    }
+    NodePtr sibling = siblings[level] ? *siblings[level] : nullptr;
+    if (!cur && !sibling) continue;  // still an all-empty subtree
+    bool right = goes_right(pos, level);
+    NodePtr left_child = std::move(right ? sibling : cur);
+    NodePtr right_child = std::move(right ? cur : sibling);
+    const Digest& empty = empty_digest(level - 1);
+    Digest d = crypto::hash_pair(Domain::kMerkleNode,
+                                 left_child ? left_child->digest : empty,
+                                 right_child ? right_child->digest : empty);
+    cur = std::make_shared<const Node>(
+        Node{d, std::move(left_child), std::move(right_child)});
   }
-  root_ = node(depth_, 0);
+  top_ = std::move(cur);
+  root_ = top_ ? top_->digest : empty_digest(depth_);
 }
 
 std::optional<Digest> MerkleStateTree::leaf(std::uint64_t pos) const {
-  auto it = leaves_.find(pos);
-  if (it == leaves_.end()) return std::nullopt;
-  return it->second;
+  const Node* node = find_leaf(pos);
+  if (node == nullptr) return std::nullopt;
+  return node->digest;
 }
 
 bool MerkleStateTree::insert(std::uint64_t pos, const Digest& value) {
   if (pos >= capacity()) {
     throw std::out_of_range("MerkleStateTree::insert: position out of range");
   }
-  if (leaves_.contains(pos)) return false;
-  leaves_[pos] = value;
-  update_path(pos);
+  if (find_leaf(pos) != nullptr) return false;
+  set_leaf(pos, std::make_shared<const Node>(Node{value, nullptr, nullptr}));
+  ++occupied_;
   return true;
 }
 
@@ -89,8 +125,9 @@ bool MerkleStateTree::erase(std::uint64_t pos) {
   if (pos >= capacity()) {
     throw std::out_of_range("MerkleStateTree::erase: position out of range");
   }
-  if (leaves_.erase(pos) == 0) return false;
-  update_path(pos);
+  if (find_leaf(pos) == nullptr) return false;
+  set_leaf(pos, nullptr);
+  --occupied_;
   return true;
 }
 
@@ -100,10 +137,17 @@ MerkleProof MerkleStateTree::prove(std::uint64_t pos) const {
   }
   MerkleProof proof;
   proof.leaf_index = pos;
-  std::uint64_t index = pos;
-  for (unsigned level = 0; level < depth_; ++level) {
-    proof.siblings.push_back(node(level, index ^ 1));
-    index >>= 1;
+  proof.siblings.resize(depth_);
+  const Node* node = top_.get();
+  for (unsigned level = depth_; level > 0; --level) {
+    const Node* sibling = nullptr;
+    if (node != nullptr) {
+      bool right = goes_right(pos, level);
+      sibling = (right ? node->left : node->right).get();
+      node = (right ? node->right : node->left).get();
+    }
+    proof.siblings[level - 1] =
+        sibling ? sibling->digest : empty_digest(level - 1);
   }
   return proof;
 }
@@ -118,11 +162,22 @@ bool MerkleStateTree::verify_empty(const Digest& root,
   return MerkleTree::root_from_proof(empty_leaf_digest(), proof) == root;
 }
 
+void MerkleStateTree::collect_positions(const Node* node, unsigned level,
+                                        std::uint64_t index,
+                                        std::vector<std::uint64_t>& out) {
+  if (node == nullptr) return;
+  if (level == 0) {
+    out.push_back(index);
+    return;
+  }
+  collect_positions(node->left.get(), level - 1, index * 2, out);
+  collect_positions(node->right.get(), level - 1, index * 2 + 1, out);
+}
+
 std::vector<std::uint64_t> MerkleStateTree::occupied_positions() const {
   std::vector<std::uint64_t> out;
-  out.reserve(leaves_.size());
-  for (const auto& [pos, _] : leaves_) out.push_back(pos);
-  std::sort(out.begin(), out.end());
+  out.reserve(occupied_);
+  collect_positions(top_.get(), depth_, 0, out);
   return out;
 }
 

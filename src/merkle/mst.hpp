@@ -2,14 +2,14 @@
 //
 // A fixed-depth sparse Merkle tree whose 2^depth leaves are UTXO slots:
 // either "occupied" (holding the digest of an unspent output) or "empty".
-// Sparse representation with precomputed empty-subtree hashes keeps
-// set/clear/root at O(depth) regardless of capacity, so depths of 32+ are
-// practical.
+// Only subtrees holding an occupied slot are stored; an absent subtree
+// hashes to a precomputed per-level empty digest, so set/clear/prove cost
+// O(depth) regardless of capacity and depths of 32+ are practical.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/hash.hpp"
@@ -50,9 +50,15 @@ class MstDelta {
 
 /// Sparse fixed-depth Merkle State Tree.
 ///
-/// The tree is mutable: occupying or clearing a slot updates the O(depth)
-/// path to the root. Membership (and emptiness) proofs are standard Merkle
-/// proofs against the current root.
+/// The tree is a persistent (path-copying) structure of immutable,
+/// reference-counted nodes: each node holds its digest and its two
+/// children, and a null child is an all-empty subtree. Occupying or
+/// clearing a slot builds the `depth` new nodes on the slot's path and
+/// shares every sibling subtree with the previous version, so copying a
+/// tree is O(1) (one pointer) and copies never observe each other's
+/// mutations. Nodes are const once built, so copies may live on different
+/// threads. Membership (and emptiness) proofs are standard Merkle proofs
+/// against the current root.
 class MerkleStateTree {
  public:
   explicit MerkleStateTree(unsigned depth);
@@ -61,13 +67,13 @@ class MerkleStateTree {
   [[nodiscard]] std::uint64_t capacity() const {
     return std::uint64_t{1} << depth_;
   }
-  [[nodiscard]] std::uint64_t occupied_count() const { return leaves_.size(); }
+  [[nodiscard]] std::uint64_t occupied_count() const { return occupied_; }
 
   [[nodiscard]] const Digest& root() const { return root_; }
 
   /// True if slot `pos` currently holds a value.
   [[nodiscard]] bool occupied(std::uint64_t pos) const {
-    return leaves_.contains(pos);
+    return find_leaf(pos) != nullptr;
   }
 
   /// Digest stored at `pos`, if occupied.
@@ -97,15 +103,24 @@ class MerkleStateTree {
   [[nodiscard]] std::vector<std::uint64_t> occupied_positions() const;
 
  private:
-  [[nodiscard]] Digest node(unsigned level, std::uint64_t index) const;
-  void update_path(std::uint64_t pos);
+  struct Node;
+  using NodePtr = std::shared_ptr<const Node>;
+
+  /// The leaf node at `pos`, or nullptr when the slot is empty.
+  [[nodiscard]] const Node* find_leaf(std::uint64_t pos) const;
+  /// Replace the leaf at `pos` (null clears it), rebuilding its path.
+  void set_leaf(std::uint64_t pos, NodePtr leaf);
+  static void collect_positions(const Node* node, unsigned level,
+                                std::uint64_t index,
+                                std::vector<std::uint64_t>& out);
 
   unsigned depth_;
-  // Precomputed hash of an all-empty subtree per level; [0] = empty leaf.
-  std::vector<Digest> empty_;
-  // level -> index -> digest, only for nodes on occupied paths.
-  std::vector<std::unordered_map<std::uint64_t, Digest>> nodes_;
-  std::unordered_map<std::uint64_t, Digest> leaves_;
+  std::uint64_t occupied_ = 0;
+  // Top node; null while the tree is empty. Nodes exist only on paths to
+  // occupied slots, so a subtree is pruned once its last slot is cleared.
+  NodePtr top_;
+  // Copy of top_'s digest (or the empty root), so root() never refers
+  // into a node a later mutation may free.
   Digest root_;
 };
 

@@ -421,6 +421,22 @@ TEST_F(EngineTest, DeepReorgResyncRollsBackToCheckpoint) {
   EXPECT_EQ(resynced.state().balance_of(alice_.address()), 700u);
   EXPECT_EQ(engine_.mc().state().find_sidechain(sc_id_)->balance, 700u);
 
+  // The rolled-back node equals one built from scratch on the new branch.
+  LatusNode fresh(sc_id_, /*start_block=*/2, /*epoch_len=*/40,
+                  /*submit_len=*/20, /*mst_depth=*/10, /*slots_per_epoch=*/8);
+  fresh.add_forger(alice_);
+  for (std::uint64_t h = 1; h <= 13; ++h) {
+    const mainchain::Block* b =
+        engine_.mc().find_block(engine_.mc().hash_at_height(h));
+    ASSERT_NE(b, nullptr);
+    ASSERT_EQ(fresh.observe_mc_block(*b), "");
+    ASSERT_EQ(fresh.forge_until_synced(), "");
+  }
+  EXPECT_EQ(resynced.state().commitment(), fresh.state().commitment());
+  EXPECT_EQ(resynced.height(), fresh.height());
+  ASSERT_FALSE(fresh.chain().empty());
+  EXPECT_EQ(resynced.chain().back().hash(), fresh.chain().back().hash());
+
   // The engine keeps running on the new branch.
   engine_.step();
   EXPECT_EQ(engine_.mc().height(), 14u);

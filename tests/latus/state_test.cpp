@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "crypto/rng.hpp"
 
@@ -140,6 +143,64 @@ TEST(LatusStateTest, UtxoNullifierIsHashOfUtxo) {
   Utxo v = u;
   v.amount += 1;
   EXPECT_NE(u.nullifier(), v.nullifier());
+}
+
+/// What a LatusState copy must keep to itself, read at `probes`' slots.
+struct StateView {
+  Digest commitment, mst_root, delta_hash;
+  Amount supply = 0;
+  std::vector<std::optional<Utxo>> slots;
+
+  friend bool operator==(const StateView&, const StateView&) = default;
+};
+
+StateView view_of(const LatusState& s, const std::vector<Utxo>& probes) {
+  StateView v{s.commitment(), s.mst().root(), s.delta().hash(),
+              s.total_supply(), {}};
+  for (const Utxo& u : probes) {
+    v.slots.push_back(s.utxo_at(mst_position(u, s.depth())));
+  }
+  return v;
+}
+
+TEST(LatusStateTest, CopiesDoNotAlias) {
+  // A copy shares its MST nodes with the source; neither side may see the
+  // other's later mutations.
+  LatusState original(12);
+  std::vector<Utxo> probes;
+  for (int i = 0; i < 16; ++i) {
+    probes.push_back(make_utxo("alice", 10 + i, "coin" + std::to_string(i)));
+    ASSERT_TRUE(original.insert_utxo(probes.back()));
+  }
+  original.push_backward_transfer({hash_str(Domain::kAddress, "mc-bob"), 3});
+  const Utxo spent_by_copy = probes[0], spent_by_original = probes[1];
+  const Utxo new_in_copy = make_utxo("bob", 99, "fresh-copy");
+  const Utxo new_in_original = make_utxo("carol", 77, "fresh-original");
+  probes.push_back(new_in_copy);
+  probes.push_back(new_in_original);
+
+  auto mutate = [](LatusState& s, const Utxo& spent, const Utxo& fresh) {
+    ASSERT_TRUE(s.remove_utxo(spent));
+    ASSERT_TRUE(s.insert_utxo(fresh));
+    s.push_backward_transfer({hash_str(Domain::kAddress, "mc-carol"), 5});
+    s.begin_withdrawal_epoch();
+  };
+
+  const StateView original_before = view_of(original, probes);
+  LatusState copy = original;
+  mutate(copy, spent_by_copy, new_in_copy);
+  EXPECT_EQ(view_of(original, probes), original_before);
+  EXPECT_EQ(copy.utxo_at(mst_position(new_in_copy, 12)),
+            std::optional<Utxo>(new_in_copy));
+  EXPECT_FALSE(copy.contains(spent_by_copy));
+
+  const StateView copy_before = view_of(copy, probes);
+  mutate(original, spent_by_original, new_in_original);
+  EXPECT_EQ(view_of(copy, probes), copy_before);
+  EXPECT_TRUE(copy.contains(spent_by_original));
+  EXPECT_FALSE(copy.contains(new_in_original));
+  EXPECT_TRUE(original.contains(spent_by_copy));
+  EXPECT_FALSE(original.contains(new_in_copy));
 }
 
 class StateChurn : public ::testing::TestWithParam<unsigned> {};

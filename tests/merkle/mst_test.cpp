@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <unordered_map>
+
 #include "crypto/rng.hpp"
 
 namespace zendoo::merkle {
@@ -128,6 +131,33 @@ TEST(Mst, LeafLookup) {
   EXPECT_FALSE(mst.occupied(8));
 }
 
+TEST(Mst, EmptyLeafValueStillOccupiesSlot) {
+  // The one value for which "slot empty" and "subtree hashes to the empty
+  // digest" differ: storing the empty-leaf digest occupies the slot
+  // without moving the root, and a cleared neighbour must not prune it.
+  MerkleStateTree mst(6);
+  const Digest empty_root = mst.root();
+  const Digest empty_value = MerkleStateTree::empty_leaf_digest();
+  ASSERT_TRUE(mst.insert(21, empty_value));
+  EXPECT_EQ(mst.root(), empty_root);
+  EXPECT_TRUE(mst.occupied(21));
+  EXPECT_EQ(mst.occupied_count(), 1u);
+  EXPECT_EQ(mst.leaf(21), std::optional<Digest>(empty_value));
+  EXPECT_FALSE(mst.insert(21, crypto::hash_str(Domain::kUtxo, "coin")));
+
+  ASSERT_TRUE(mst.insert(20, crypto::hash_str(Domain::kUtxo, "neighbour")));
+  ASSERT_TRUE(mst.erase(20));
+  EXPECT_EQ(mst.root(), empty_root);
+  EXPECT_TRUE(mst.occupied(21));
+  EXPECT_EQ(mst.occupied_positions(), (std::vector<std::uint64_t>{21}));
+
+  ASSERT_TRUE(mst.erase(21));
+  EXPECT_FALSE(mst.occupied(21));
+  EXPECT_EQ(mst.occupied_count(), 0u);
+  EXPECT_EQ(mst.root(), empty_root);
+  EXPECT_FALSE(mst.erase(21));
+}
+
 TEST(MstDeltaTest, PaperAppendixAExample) {
   // Appendix A: transitions touch leaves 0,1,2,7 of a depth-3 tree.
   MstDelta delta(3);
@@ -196,26 +226,72 @@ TEST(MstDeltaTest, UnspentnessArgument) {
 
 class MstDepthSweep : public ::testing::TestWithParam<unsigned> {};
 
+using Shadow = std::map<std::uint64_t, Digest>;
+
+/// One random step: clear the slot if it is occupied, else fill it, on
+/// both `tree` and its `shadow`.
+void churn_step(MerkleStateTree& tree, Shadow& shadow, Rng& rng) {
+  std::uint64_t pos = rng.next_below(tree.capacity());
+  if (shadow.contains(pos)) {
+    EXPECT_TRUE(tree.erase(pos));
+    shadow.erase(pos);
+  } else {
+    Digest v = rng.next_digest();
+    EXPECT_TRUE(tree.insert(pos, v));
+    shadow[pos] = v;
+  }
+}
+
+/// `tree` holds exactly `shadow`: same root as a tree (and, when small
+/// enough, a dense tree) built from it, same occupancy, and every slot
+/// proves what the shadow says it holds.
+void expect_matches_shadow(const MerkleStateTree& tree, const Shadow& shadow,
+                           Rng& rng) {
+  MerkleStateTree fresh(tree.depth());
+  std::vector<std::uint64_t> keys;
+  for (const auto& [pos, val] : shadow) {
+    fresh.insert(pos, val);
+    keys.push_back(pos);
+  }
+  EXPECT_EQ(tree.root(), fresh.root());
+  if (tree.depth() <= 8) {
+    std::vector<Digest> dense(tree.capacity(),
+                              MerkleStateTree::empty_leaf_digest());
+    for (const auto& [pos, val] : shadow) dense[pos] = val;
+    EXPECT_EQ(tree.root(), MerkleTree(dense).root());
+  }
+  EXPECT_EQ(tree.occupied_positions(), keys);
+  EXPECT_EQ(tree.occupied_count(), shadow.size());
+  for (const auto& [pos, val] : shadow) {
+    EXPECT_EQ(tree.leaf(pos), std::optional<Digest>(val));
+    EXPECT_TRUE(MerkleStateTree::verify(tree.root(), val, tree.prove(pos)));
+  }
+  for (int i = 0; i < 8; ++i) {
+    std::uint64_t pos = rng.next_below(tree.capacity());
+    if (shadow.contains(pos)) continue;
+    EXPECT_FALSE(tree.occupied(pos));
+    EXPECT_TRUE(MerkleStateTree::verify_empty(tree.root(), tree.prove(pos)));
+  }
+}
+
 TEST_P(MstDepthSweep, RandomChurnKeepsProofsConsistent) {
+  // Halfway through the churn the tree is copied; from then on the two
+  // trees share their untouched subtrees but must evolve independently.
   unsigned depth = GetParam();
   MerkleStateTree mst(depth);
   Rng rng(depth);
-  std::unordered_map<std::uint64_t, Digest> shadow;
-  for (int step = 0; step < 200; ++step) {
-    std::uint64_t pos = rng.next_below(mst.capacity());
-    if (shadow.contains(pos)) {
-      EXPECT_TRUE(mst.erase(pos));
-      shadow.erase(pos);
-    } else {
-      Digest v = rng.next_digest();
-      EXPECT_TRUE(mst.insert(pos, v));
-      shadow[pos] = v;
-    }
+  Shadow shadow;
+  for (int step = 0; step < 100; ++step) churn_step(mst, shadow, rng);
+
+  MerkleStateTree copy = mst;
+  Shadow copy_shadow = shadow;
+  EXPECT_EQ(copy.root(), mst.root());
+  for (int step = 0; step < 100; ++step) {
+    churn_step(mst, shadow, rng);
+    churn_step(copy, copy_shadow, rng);
   }
-  EXPECT_EQ(mst.occupied_count(), shadow.size());
-  for (const auto& [pos, val] : shadow) {
-    EXPECT_TRUE(MerkleStateTree::verify(mst.root(), val, mst.prove(pos)));
-  }
+  expect_matches_shadow(mst, shadow, rng);
+  expect_matches_shadow(copy, copy_shadow, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, MstDepthSweep,
