@@ -4,12 +4,12 @@
 // BM_BlockPropagation: one miner, N nodes — flood-relay a block to every
 // peer (codec encode/decode per hop dominates).
 // BM_PartitionRecovery: a 2|2+ split diverges by d blocks per side, then
-// heals — measures the orphan/getblock backfill walk plus the reorg on
-// the losing side.
+// heals — measures the header sync and body download of the winning
+// branch plus the reorg on the losing side.
 // BM_DeepCatchUp: one node rejoins `depth` blocks behind a 4-peer
-// cluster, under the legacy per-block walk vs the headers-first
-// pipeline. Counters record simulated round-trip cost (ticks, delivered
-// messages, announce rounds), not just wall time.
+// cluster and catches up headers-first. Counters record simulated
+// round-trip cost (ticks, delivered messages, announce rounds), not just
+// wall time.
 #include "bench_json.hpp"
 
 #include <memory>
@@ -22,8 +22,7 @@ namespace {
 using namespace zendoo;
 
 struct Cluster : net::NodeCluster {
-  explicit Cluster(std::size_t n, net::SyncConfig sync = {})
-      : net::NodeCluster(1, n, sync) {}
+  explicit Cluster(std::size_t n) : net::NodeCluster(1, n) {}
   net::SimNet& simnet = net;  // historical alias for the benches below
 };
 
@@ -65,15 +64,11 @@ void BM_PartitionRecovery(benchmark::State& state) {
 BENCHMARK(BM_PartitionRecovery)->Arg(2)->Arg(8)->Arg(16);
 
 void BM_DeepCatchUp(benchmark::State& state) {
-  const bool headers_first = state.range(0) != 0;
-  const std::size_t depth = static_cast<std::size_t>(state.range(1));
-  net::SyncConfig sync;
-  sync.mode = headers_first ? net::SyncMode::kHeadersFirst
-                            : net::SyncMode::kLegacyWalk;
+  const std::size_t depth = static_cast<std::size_t>(state.range(0));
   std::uint64_t ticks = 0, delivered = 0, rounds = 0, iters = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    Cluster cluster(5, sync);
+    Cluster cluster(5);
     cluster.simnet.partition({{0, 1, 2, 3}, {4}});
     for (std::size_t i = 0; i < depth; ++i) cluster.nodes[0]->mine();
     cluster.simnet.run_until_idle();
@@ -81,10 +76,9 @@ void BM_DeepCatchUp(benchmark::State& state) {
     const net::SimTime t0 = cluster.simnet.now();
     const std::uint64_t d0 = cluster.simnet.stats().delivered;
     state.ResumeTiming();
-    // Deep catch-up needs repeated announcements under the legacy walk
-    // (each round only backfills an orphan pool's worth); headers-first
-    // finishes in one. The loop is what a peer re-advertising its tip
-    // does for a node that is still behind.
+    // Headers-first finishes in one announcement; the loop is what a
+    // peer re-advertising its tip does for a node that is still behind,
+    // so a regression shows up as extra rounds instead of a hang.
     std::size_t round = 0;
     while (cluster.nodes[4]->tip() != cluster.nodes[0]->tip()) {
       if (++round > 64) break;  // wedged — surfaces as a huge tick count
@@ -106,15 +100,9 @@ void BM_DeepCatchUp(benchmark::State& state) {
   state.counters["announce_rounds"] =
       benchmark::Counter(static_cast<double>(rounds) / iters);
   state.counters["blocks"] = benchmark::Counter(static_cast<double>(depth));
-  state.SetLabel(std::string(headers_first ? "headers-first" : "legacy-walk") +
-                 " depth=" + std::to_string(depth) + " peers=4");
+  state.SetLabel("depth=" + std::to_string(depth) + " peers=4");
 }
-BENCHMARK(BM_DeepCatchUp)
-    ->Args({0, 256})
-    ->Args({1, 256})
-    ->Args({0, 512})
-    ->Args({1, 512})
-    ->Iterations(3);
+BENCHMARK(BM_DeepCatchUp)->Arg(256)->Arg(512)->Iterations(3);
 
 void BM_HostilePeerOverhead(benchmark::State& state) {
   // The same deep catch-up as BM_DeepCatchUp (headers-first, 4 honest

@@ -5,9 +5,10 @@
 // Four nodes gossip blocks over SimNet. A partition splits them 2|2 and
 // both sides keep mining — two incompatible chains grow. When the
 // partition heals, nodes re-announce their tips, the shorter side
-// orphans the foreign tip, walks back for the missing ancestors, and
-// reorgs onto the longer branch. A forward transfer mined only on the
-// losing side vanishes from the sidechain, exactly as the paper demands.
+// orphans the foreign tip, fetches the branch headers-first (headers,
+// then the missing bodies), and reorgs onto the longer branch. A
+// forward transfer mined only on the losing side vanishes from the
+// sidechain, exactly as the paper demands.
 //
 // Build & run:  ./build/examples/network_race
 #include <cstdio>
@@ -63,8 +64,8 @@ int main() {
                   .balance_of(alice.address()),
               (unsigned long long)ptrs[2]->height());
 
-  // Heal: tips are re-announced, side A orphans side B's tip, backfills
-  // the branch via getblock, and reorgs — the FT dies with branch A.
+  // Heal: tips are re-announced, side A orphans side B's tip, syncs the
+  // branch's headers and bodies, and reorgs — the FT dies with branch A.
   simnet.heal();
   for (auto* n : ptrs) n->announce_tip();
   simnet.run_until_idle();

@@ -126,11 +126,4 @@ std::array<std::uint8_t, 32> Sha256::finalize() {
   return out;
 }
 
-std::array<std::uint8_t, 32> Sha256::digest(
-    std::span<const std::uint8_t> data) {
-  Sha256 h;
-  h.update(data);
-  return h.finalize();
-}
-
 }  // namespace zendoo::crypto

@@ -31,10 +31,6 @@ class Sha256 {
   /// Complete padding and return the 32-byte digest.
   std::array<std::uint8_t, 32> finalize();
 
-  /// One-shot convenience.
-  static std::array<std::uint8_t, 32> digest(
-      std::span<const std::uint8_t> data);
-
  private:
   void process_block(const std::uint8_t* block);
 

@@ -52,8 +52,6 @@ std::pair<u256, u256> u256::mul_wide(const u256& a, const u256& b) {
   return {hi, lo};
 }
 
-u256 u256::mul_lo(const u256& b) const { return mul_wide(*this, b).second; }
-
 u256 u256::operator<<(unsigned n) const {
   if (n >= 256) return {};
   u256 r;

@@ -48,9 +48,6 @@ struct u256 {
   /// Full 256x256 -> 512-bit product, returned as {high, low}.
   static std::pair<u256, u256> mul_wide(const u256& a, const u256& b);
 
-  /// (this * b) mod 2^256.
-  [[nodiscard]] u256 mul_lo(const u256& b) const;
-
   friend constexpr bool operator==(const u256&, const u256&) = default;
   [[nodiscard]] std::strong_ordering operator<=>(const u256& o) const {
     for (int i = 3; i >= 0; --i) {

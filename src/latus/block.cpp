@@ -124,15 +124,4 @@ Digest ScBlock::compute_body_root() const {
   return merkle::merkle_root(leaves);
 }
 
-std::vector<TxVariant> ScBlock::transitions() const {
-  std::vector<TxVariant> out;
-  for (const McBlockReference& r : mc_refs) {
-    if (r.forward_transfers) out.emplace_back(*r.forward_transfers);
-    if (r.bt_requests) out.emplace_back(*r.bt_requests);
-  }
-  for (const PaymentTx& p : payments) out.emplace_back(p);
-  for (const BackwardTransferTx& b : bt_txs) out.emplace_back(b);
-  return out;
-}
-
 }  // namespace zendoo::latus

@@ -69,10 +69,6 @@ struct ScBlock {
 
   [[nodiscard]] Digest hash() const { return header.hash(); }
   [[nodiscard]] Digest compute_body_root() const;
-
-  /// The block's transitions in application order (§5.4): per referenced MC
-  /// block its FTTx then BTRTx, then payments, then BT transactions.
-  [[nodiscard]] std::vector<TxVariant> transitions() const;
 };
 
 }  // namespace zendoo::latus

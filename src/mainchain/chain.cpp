@@ -263,16 +263,6 @@ Blockchain::SubmitResult invalid_result(std::string error, int dos = 0) {
 
 }  // namespace
 
-const char* to_string(SubmitCode code) {
-  switch (code) {
-    case SubmitCode::kAccepted: return "accepted";
-    case SubmitCode::kDuplicate: return "duplicate";
-    case SubmitCode::kOrphaned: return "orphaned";
-    case SubmitCode::kInvalid: return "invalid";
-  }
-  return "?";
-}
-
 void Blockchain::init_metrics() {
   obs_ = std::make_shared<obs::Registry>();
   events_ = std::make_shared<obs::EventLog>(64);
@@ -314,15 +304,6 @@ const Block& Blockchain::genesis() const { return blocks_.at(genesis_hash_); }
 const Block* Blockchain::find_block(const Digest& hash) const {
   auto it = blocks_.find(hash);
   return it == blocks_.end() ? nullptr : &it->second;
-}
-
-std::vector<Digest> Blockchain::active_chain() const {
-  std::vector<Digest> out;
-  out.reserve(state_.height() + 1);
-  for (std::uint64_t h = 0; h <= state_.height(); ++h) {
-    out.push_back(state_.hash_at_height(h));
-  }
-  return out;
 }
 
 const BlockHeader* Blockchain::find_header(const Digest& hash) const {

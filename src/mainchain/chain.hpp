@@ -128,9 +128,6 @@ enum class SubmitCode {
   kInvalid,    ///< failed validation and was rejected
 };
 
-/// Human-readable name for diagnostics ("accepted", "duplicate", ...).
-[[nodiscard]] const char* to_string(SubmitCode code);
-
 /// Outcome class of Blockchain::submit_header — headers-first sync
 /// accepts and connects headers ahead of block bodies.
 enum class HeaderCode {
@@ -199,9 +196,6 @@ class Blockchain {
   [[nodiscard]] Digest hash_at_height(std::uint64_t h) const {
     return state_.hash_at_height(h);
   }
-  /// Active chain as block hashes, genesis first.
-  [[nodiscard]] std::vector<Digest> active_chain() const;
-
   /// Reconfigures the validation pipeline (see ChainState) for this
   /// chain instance.
   void set_validation_config(const parallel::ValidationConfig& config) {

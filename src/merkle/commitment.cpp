@@ -44,13 +44,6 @@ void ScTxCommitmentTree::set_wcert(const SidechainId& id,
   entry.wcert_hash = cert_hash;
 }
 
-std::vector<SidechainId> ScTxCommitmentTree::ordered_ids() const {
-  std::vector<SidechainId> ids;
-  ids.reserve(sidechains_.size());
-  for (const auto& [id, _] : sidechains_) ids.push_back(id);
-  return ids;
-}
-
 MerkleTree ScTxCommitmentTree::build_top_tree() const {
   std::vector<Digest> leaves;
   leaves.reserve(sidechains_.size());

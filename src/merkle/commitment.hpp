@@ -116,7 +116,6 @@ class ScTxCommitmentTree {
 
  private:
   [[nodiscard]] MerkleTree build_top_tree() const;
-  [[nodiscard]] std::vector<SidechainId> ordered_ids() const;
 
   // std::map keeps sidechains ordered by id, as the paper requires.
   std::map<SidechainId, SidechainCommitmentData> sidechains_;

@@ -10,15 +10,6 @@ namespace zendoo::net {
 using mainchain::HeaderCode;
 using mainchain::SubmitCode;
 
-namespace {
-
-/// Cap on remembered legacy-walk requests: the honest walk keeps one or
-/// two outstanding, so the cap only matters if a bug (or a hostile reply
-/// stream) tries to grow the set without answers arriving.
-constexpr std::size_t kMaxLegacyRequested = 256;
-
-}  // namespace
-
 NetNode::NetNode(SimNet& net, mainchain::ChainParams params,
                  const crypto::KeyPair& miner_key, SyncConfig sync)
     : net_(net), engine_(params, miner_key), sync_(sync) {
@@ -37,7 +28,6 @@ void NetNode::register_metrics() {
   r.expose_counter("net.duplicates", &stats_.duplicates);
   r.expose_counter("net.malformed", &stats_.malformed);
   r.expose_counter("net.rejected", &stats_.rejected);
-  r.expose_counter("net.get_block_served", &stats_.get_block_served);
   r.expose_counter("net.get_headers_served", &stats_.get_headers_served);
   r.expose_counter("net.get_data_served", &stats_.get_data_served);
   r.expose_counter("net.headers_received", &stats_.headers_received);
@@ -50,11 +40,12 @@ void NetNode::register_metrics() {
   r.expose_counter("net.encode_cache_hits", &stats_.encode_cache_hits);
   r.expose_counter("net.encode_cache_misses", &stats_.encode_cache_misses);
   r.expose_counter("net.wire_dedup_hits", &stats_.wire_dedup_hits);
-  // Per-MsgType labeled families (tag 0 is unused on the wire).
+  // Per-MsgType labeled families (tags 0 and 2 are unused on the wire).
   static constexpr const char* kTypeLabels[kMsgTypeCount] = {
-      nullptr,      "block",    "get_block", "get_headers",
-      "headers",    "get_data", "not_found"};
-  for (std::size_t i = 1; i < kMsgTypeCount; ++i) {
+      nullptr,   "block",    nullptr,    "get_headers",
+      "headers", "get_data", "not_found"};
+  for (std::size_t i = 0; i < kMsgTypeCount; ++i) {
+    if (kTypeLabels[i] == nullptr) continue;
     r.expose_counter(
         obs::Registry::labeled("net.msgs_sent", "type", kTypeLabels[i]),
         &stats_.msgs_sent[i]);
@@ -178,16 +169,6 @@ void NetNode::relay_block(NodeId origin, const SimNet::PayloadPtr& payload) {
   ++stats_.blocks_relayed;
 }
 
-void NetNode::request_block(NodeId from, const crypto::Digest& hash) {
-  // Remember the ask: the kBlock answer is solicited even though the
-  // headers-first in_flight_ table never sees legacy-walk traffic.
-  if (legacy_requested_.size() < kMaxLegacyRequested) {
-    legacy_requested_.insert(hash);
-  }
-  send_msg(from, MsgType::kGetBlock,
-           {hash.bytes.begin(), hash.bytes.end()});
-}
-
 // ---- Misbehavior scoring ----
 
 PeerState& NetNode::peer_ref(NodeId peer) {
@@ -229,10 +210,6 @@ void NetNode::note_unsolicited_orphan(NodeId from,
                                       const crypto::Digest& hash) {
   ++peer_ref(from).unsolicited_orphans;
   if (!sync_.dos.enabled) return;
-  // The legacy walk has no header tree, so it cannot tell a fabricated
-  // orphan from a deep honest gap — its only defense is the bounded
-  // pool itself. Only headers-first nodes can judge, so only they file.
-  if (sync_.mode != SyncMode::kHeadersFirst) return;
   if (orphan_suspects_.size() >= sync_.dos.max_orphan_suspects) {
     orphan_suspects_.pop_front();  // overflow: oldest goes unjudged
   }
@@ -339,7 +316,6 @@ void NetNode::handle(NodeId from, const SimNet::PayloadPtr& payload) {
   const auto tag = static_cast<MsgType>(bytes.front());
   switch (tag) {
     case MsgType::kBlock:
-    case MsgType::kGetBlock:
     case MsgType::kGetHeaders:
     case MsgType::kHeaders:
     case MsgType::kGetData:
@@ -353,7 +329,6 @@ void NetNode::handle(NodeId from, const SimNet::PayloadPtr& payload) {
   }
   switch (tag) {
     case MsgType::kBlock: on_block(from, payload, body); return;
-    case MsgType::kGetBlock: on_get_block(from, body); return;
     case MsgType::kGetHeaders: on_get_headers(from, body); return;
     case MsgType::kHeaders: on_headers(from, body); return;
     case MsgType::kGetData: on_get_data(from, body); return;
@@ -384,17 +359,10 @@ void NetNode::on_block(NodeId from, const SimNet::PayloadPtr& payload,
         }
         in_flight_.erase(it);
       }
-      legacy_requested_.erase(known_hash);
       ++stats_.duplicates;
-      if (!stored) {
-        // Orphan-resident: the request for its parent (or its answer)
-        // may have been lost — re-arm sync, same as the slow path.
-        if (sync_.mode == SyncMode::kHeadersFirst) {
-          on_disconnected_block(from, known_prev);
-        } else {
-          request_block(from, known_prev);
-        }
-      }
+      // Orphan-resident: the request for its parent (or its answer) may
+      // have been lost — re-arm sync, same as the slow path.
+      if (!stored) on_disconnected_block(from, known_prev);
       return;
     }
   }
@@ -420,7 +388,6 @@ void NetNode::on_block(NodeId from, const SimNet::PayloadPtr& payload,
     }
     in_flight_.erase(it);
   }
-  if (legacy_requested_.erase(hash) > 0) requested = true;
 
   auto result = engine_.submit_external_block(block);
   if (result.reorged) ++stats_.reorgs;
@@ -435,7 +402,7 @@ void NetNode::on_block(NodeId from, const SimNet::PayloadPtr& payload,
       // traffic the rest of the network already has, so re-flooding them
       // would only multiply duplicates.
       if (!requested) relay_block(from, payload);
-      if (sync_.mode == SyncMode::kHeadersFirst) schedule_downloads();
+      schedule_downloads();
       return;
     case SubmitCode::kOrphaned:
       ++stats_.orphans_buffered;
@@ -446,14 +413,7 @@ void NetNode::on_block(NodeId from, const SimNet::PayloadPtr& payload,
         // enough to have connected and nothing knows it anymore.
         note_unsolicited_orphan(from, hash);
       }
-      if (sync_.mode == SyncMode::kHeadersFirst) {
-        on_disconnected_block(from, block.header.prev_hash);
-      } else {
-        // Backfill walk: ask the sender for the missing parent. If that
-        // parent is itself unknown it will be orphaned in turn and the
-        // walk continues until a known ancestor connects the branch.
-        request_block(from, block.header.prev_hash);
-      }
+      on_disconnected_block(from, block.header.prev_hash);
       return;
     case SubmitCode::kDuplicate:
       ++stats_.duplicates;
@@ -461,11 +421,7 @@ void NetNode::on_block(NodeId from, const SimNet::PayloadPtr& payload,
       // its answer) may have been lost to a drop or a partition cut —
       // re-arm the sync instead of stalling forever.
       if (chain().has_orphan(hash)) {
-        if (sync_.mode == SyncMode::kHeadersFirst) {
-          on_disconnected_block(from, block.header.prev_hash);
-        } else {
-          request_block(from, block.header.prev_hash);
-        }
+        on_disconnected_block(from, block.header.prev_hash);
       }
       return;
     case SubmitCode::kInvalid:
@@ -477,9 +433,7 @@ void NetNode::on_block(NodeId from, const SimNet::PayloadPtr& payload,
       misbehave(from, result.dos);
       // The freed slot must not idle while other peers can serve the
       // branch (the ban path above already reassigned if it fired).
-      if (requested && sync_.mode == SyncMode::kHeadersFirst) {
-        schedule_downloads();
-      }
+      if (requested) schedule_downloads();
       return;
   }
 }
@@ -498,21 +452,6 @@ void NetNode::on_disconnected_block(NodeId from,
     frontier_attempts_ = 0;
     schedule_downloads();
   }
-}
-
-void NetNode::on_get_block(NodeId from,
-                           std::span<const std::uint8_t> body) {
-  if (body.size() != crypto::Digest{}.bytes.size()) {
-    note_malformed(from);
-    return;
-  }
-  crypto::Digest hash;
-  std::copy(body.begin(), body.end(), hash.bytes.begin());
-  const mainchain::Block* block = chain().find_block(hash);
-  if (block == nullptr) return;  // don't have it; requester re-syncs later
-  ++stats_.get_block_served;
-  ++stats_.msgs_sent[static_cast<std::size_t>(MsgType::kBlock)];
-  net_.send(id_, from, block_payload(*block));
 }
 
 void NetNode::on_get_headers(NodeId from,
@@ -582,22 +521,20 @@ void NetNode::on_headers(NodeId from, std::span<const std::uint8_t> body) {
       if (peer_banned(from)) break;
     }
   }
-  if (sync_.mode == SyncMode::kHeadersFirst) {
-    if (solicited) {
-      // A full batch means the sender has more: keep walking even when
-      // this batch connected nothing new — our locator's exponential
-      // spacing can undershoot the fork point, making the first batches
-      // pure overlap. The no-progress cap is what stops a peer replaying
-      // the same batch from spinning the walk forever.
-      headers_no_progress_ = extended ? 0 : headers_no_progress_ + 1;
-      if (headers.size() >= sync_.headers_batch &&
-          headers_no_progress_ < sync_.max_stale_header_rounds &&
-          !peer_banned(from)) {
-        request_headers(from);
-      }
+  if (solicited) {
+    // A full batch means the sender has more: keep walking even when this
+    // batch connected nothing new — our locator's exponential spacing can
+    // undershoot the fork point, making the first batches pure overlap.
+    // The no-progress cap is what stops a peer replaying the same batch
+    // from spinning the walk forever.
+    headers_no_progress_ = extended ? 0 : headers_no_progress_ + 1;
+    if (headers.size() >= sync_.headers_batch &&
+        headers_no_progress_ < sync_.max_stale_header_rounds &&
+        !peer_banned(from)) {
+      request_headers(from);
     }
-    schedule_downloads();
   }
+  schedule_downloads();
 }
 
 void NetNode::on_get_data(NodeId from, std::span<const std::uint8_t> body) {
@@ -649,10 +586,7 @@ void NetNode::on_not_found(NodeId from, std::span<const std::uint8_t> body) {
       // Late bounces for slots we already gave up or filled are honest.
       // A hash whose header we never even saw cannot have been requested
       // from anyone — naming it is fabrication.
-      if (chain().find_header(hash) == nullptr &&
-          !legacy_requested_.contains(hash)) {
-        abusive = true;
-      }
+      if (chain().find_header(hash) == nullptr) abusive = true;
       continue;
     }
     // Only the peer that owns the slot may bounce it — a stale notfound
@@ -671,7 +605,6 @@ void NetNode::on_not_found(NodeId from, std::span<const std::uint8_t> body) {
 }
 
 void NetNode::start_header_sync(NodeId peer) {
-  if (sync_.mode != SyncMode::kHeadersFirst) return;
   if (headers_request_active_) return;
   headers_attempts_ = 0;
   headers_no_progress_ = 0;
@@ -725,7 +658,6 @@ std::optional<NodeId> NetNode::pick_header_peer(
 }
 
 void NetNode::schedule_downloads() {
-  if (sync_.mode != SyncMode::kHeadersFirst) return;
   if (in_flight_.size() >= sync_.max_in_flight) return;
   // The frontier includes bodies already in flight (they are still
   // missing), so ask for a full window's worth and skip those.
@@ -762,15 +694,6 @@ void NetNode::on_stall_timer() {
   stall_timer_armed_ = false;
   sweep_orphan_suspects();
   const SimTime now = net_.now();
-  if (sync_.mode != SyncMode::kHeadersFirst) {
-    // Legacy mode still needs the timer for suspect judgment.
-    if (!orphan_suspects_.empty()) {
-      arm_stall_timer(orphan_suspects_.front().seen_at +
-                      sync_.dos.orphan_suspect_grace);
-    }
-    return;
-  }
-
   if (headers_request_active_ &&
       now - headers_sent_at_ >= sync_.stall_timeout) {
     // The header round died in flight. Retry against the next eligible

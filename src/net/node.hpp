@@ -2,19 +2,14 @@
 // optional Latus sidechains) attached to a SimNet endpoint.
 //
 // Nodes gossip whole blocks over the wire codec and flood-relay anything
-// new. Catch-up sync comes in two flavours, selected per node:
-//
-//  - kLegacyWalk: a block arriving before its parent lands in the orphan
-//    pool and the node asks the sender for the missing ancestor
-//    (kGetBlock), one block per round trip — O(depth) round trips.
-//  - kHeadersFirst (default): an unconnectable block triggers a
-//    kGetHeaders request carrying a block locator; the peer answers with
-//    header batches that connect into the Blockchain's header tree ahead
-//    of the bodies, and a download scheduler pipelines kGetData block
-//    requests across every peer with a bounded in-flight window per
-//    peer. Bodies arrive in any order (the orphan pool auto-connects
-//    them); a stall timer re-requests unanswered blocks from another
-//    peer. Deep catch-up costs O(depth / (batch * peers)) round trips.
+// new. Missing history is fetched headers-first: an unconnectable block
+// triggers a kGetHeaders request carrying a block locator; the peer
+// answers with header batches that connect into the Blockchain's header
+// tree ahead of the bodies, and a download scheduler pipelines kGetData
+// block requests across every peer with a bounded in-flight window per
+// peer. Bodies arrive in any order (the orphan pool auto-connects them);
+// a stall timer re-requests unanswered blocks from another peer. Deep
+// catch-up costs O(depth / (batch * peers)) round trips.
 #pragma once
 
 #include <array>
@@ -24,7 +19,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/engine.hpp"
 #include "net/sim.hpp"
@@ -32,10 +26,12 @@
 
 namespace zendoo::net {
 
-/// Wire message kinds exchanged by NetNodes (1-byte envelope tag).
+/// Wire message kinds exchanged by NetNodes (1-byte envelope tag). The
+/// tag values are wire bytes the golden trace digests hash, so they are
+/// never renumbered; tag 2 is unassigned and, like any unknown tag,
+/// counts as malformed.
 enum class MsgType : std::uint8_t {
   kBlock = 1,       ///< codec-encoded Block
-  kGetBlock = 2,    ///< 32-byte block hash the sender wants (legacy walk)
   kGetHeaders = 3,  ///< block locator; answered with a kHeaders batch
   kHeaders = 4,     ///< batch of headers, fork-point-first
   kGetData = 5,     ///< list of block hashes the sender wants bodies for
@@ -46,12 +42,6 @@ enum class MsgType : std::uint8_t {
 
 /// One past the highest wire tag — sizes the per-type stat arrays.
 inline constexpr std::size_t kMsgTypeCount = 7;
-
-/// How this node fetches chain history it is missing.
-enum class SyncMode : std::uint8_t {
-  kLegacyWalk,    ///< one kGetBlock per missing ancestor, sender-only
-  kHeadersFirst,  ///< locator -> header batches -> parallel body download
-};
 
 /// Per-peer misbehavior scoring knobs (zen's DoS machinery shape: every
 /// offense adds to a per-peer score; crossing ban_threshold disconnects
@@ -79,8 +69,7 @@ struct DosConfig {
   /// table and is charged only retrospectively, once it is old enough
   /// for header sync to have mapped its ancestry and neither the header
   /// tree nor the orphan pool knows it — the signature of fabricated
-  /// ancestry. Headers-first only: the legacy walk has no header tree
-  /// to judge with, so it never files suspects.
+  /// ancestry.
   int orphan_flood_penalty = 5;
   /// Per unsolicited kHeaders message beyond unsolicited_headers_budget.
   int unsolicited_headers_penalty = 5;
@@ -134,10 +123,8 @@ struct PeerState {
   std::array<std::uint64_t, kMsgTypeCount> received{};
 };
 
-/// Headers-first pipeline knobs. Serving (kGetHeaders/kGetData answers)
-/// is mode-independent; only the requesting strategy switches on `mode`.
+/// Headers-first pipeline knobs, for both requesting and serving.
 struct SyncConfig {
-  SyncMode mode = SyncMode::kHeadersFirst;
   /// Headers per kHeaders message (served and requested); a full batch
   /// tells the requester more are available.
   std::size_t headers_batch = 128;
@@ -190,7 +177,7 @@ class NetNode {
 
   /// Re-broadcast the current tip block — how a node restarts sync after
   /// a partition heals (peers that missed the branch orphan the tip and
-  /// start a headers-first sync or the legacy ancestor walk).
+  /// start a header sync).
   void announce_tip();
 
   /// Counters are obs::Counter — identical call-site semantics to the
@@ -205,7 +192,6 @@ class NetNode {
     obs::Counter malformed;  ///< undecodable payloads / unknown tags
     obs::Counter rejected;   ///< well-formed blocks/headers refused
                              ///< by validation
-    obs::Counter get_block_served;    ///< legacy single-block answers
     obs::Counter get_headers_served;  ///< kGetHeaders answered
     obs::Counter get_data_served;     ///< bodies served via kGetData
     obs::Counter headers_received;    ///< header items seen
@@ -222,9 +208,10 @@ class NetNode {
     /// the codec ran — the flood-relay dedup fast path.
     obs::Counter wire_dedup_hits;
 
-    /// Wire traffic by MsgType tag (index = raw tag value, 0 unused);
-    /// each element doubles as a member of the registry's labeled
-    /// families "net.msgs_sent{type=...}" / "net.msgs_received{...}".
+    /// Wire traffic by MsgType tag (index = raw tag value, 0 and 2
+    /// unused); each element doubles as a member of the registry's
+    /// labeled families "net.msgs_sent{type=...}" /
+    /// "net.msgs_received{...}".
     std::array<obs::Counter, kMsgTypeCount> msgs_sent{};
     std::array<obs::Counter, kMsgTypeCount> msgs_received{};
     [[nodiscard]] std::uint64_t sent(MsgType t) const {
@@ -268,7 +255,6 @@ class NetNode {
   void handle(NodeId from, const SimNet::PayloadPtr& payload);
   void on_block(NodeId from, const SimNet::PayloadPtr& payload,
                 std::span<const std::uint8_t> body);
-  void on_get_block(NodeId from, std::span<const std::uint8_t> body);
   void on_get_headers(NodeId from, std::span<const std::uint8_t> body);
   void on_headers(NodeId from, std::span<const std::uint8_t> body);
   void on_get_data(NodeId from, std::span<const std::uint8_t> body);
@@ -332,7 +318,6 @@ class NetNode {
   /// Re-floods an accepted payload to every peer but the deliverer —
   /// zero-copy: all fan-out sends share the deliverer's buffer.
   void relay_block(NodeId origin, const SimNet::PayloadPtr& payload);
-  void request_block(NodeId from, const crypto::Digest& hash);
   void send_msg(NodeId to, MsgType type,
                 const std::vector<std::uint8_t>& body);
   /// The kBlock wire payload for `block`, served from the encoded-block
@@ -399,12 +384,6 @@ class NetNode {
   std::vector<std::size_t> peer_in_flight_;
   /// Per-peer misbehavior ledger (indexed by NodeId, grown lazily).
   std::vector<PeerState> peers_;
-  /// Outstanding legacy-walk kGetBlock hashes: their kBlock answers are
-  /// solicited (no orphan-flood scoring) even though the headers-first
-  /// in_flight_ table does not know them. Bounded so a hostile peer
-  /// cannot grow it: entries clear on arrival, and the honest walk keeps
-  /// only a handful outstanding.
-  std::unordered_set<crypto::Digest, crypto::DigestHash> legacy_requested_;
   struct OrphanSuspect {
     crypto::Digest hash;
     NodeId peer = 0;

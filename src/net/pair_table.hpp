@@ -1,60 +1,33 @@
-// Flat per-node-pair storage for the simulator's send/deliver hot path.
+// Flat per-node-pair storage for the simulator's send/deliver hot path:
+// link overrides, per-link delivery stats and ban deadlines.
 //
-// SimNet used to key link overrides, per-link delivery stats and ban
-// deadlines by `(a << 32) | b` in unordered_maps — a hash, a probe and a
-// possible allocation on every single send(). For the cluster sizes the
-// scale sweeps run (tens to hundreds of nodes) a dense n x n table is
-// small (256 nodes of 40-byte LinkStats is ~2.6 MB) and turns every
-// lookup into one multiply and one load, so PairTable stores entries
-// densely up to `kDenseNodeLimit` nodes and only falls back to the
-// sparse map when a simulation is so large that n^2 storage would
-// actually hurt.
+// A hash map keyed by `(a << 32) | b` would cost a hash, a probe and a
+// possible allocation on every send(). PairTable stores every pair
+// densely in one n x n table instead (stride-indexed, the stride
+// doubling as the cluster grows), so each lookup is one multiply and one
+// load. For the cluster sizes the scale sweeps run (tens to hundreds of
+// nodes) that is small: at 256 nodes the largest table, of 40-byte
+// LinkStats, is ~2.6 MB.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace zendoo::net {
 
-/// Node count beyond which PairTable abandons dense n^2 storage. At the
-/// limit the largest table (40-byte LinkStats) costs ~10.5 MB; one step
-/// further in the doubling schedule would cross 40 MB.
-inline constexpr std::size_t kDenseNodeLimit = 512;
-
-/// Value table keyed by an ordered pair of node ids. Dense (stride
-/// indexing) below kDenseNodeLimit nodes, sparse above. Callers that
-/// want symmetric keys normalize the pair before calling. Values are
-/// value-initialized on first touch; `find` distinguishes "never
-/// written" from "written with a default value".
+/// Value table keyed by an ordered pair of node ids, stored densely.
+/// Callers that want symmetric keys normalize the pair before calling.
+/// Values are value-initialized on first touch; `find` distinguishes
+/// "never written" from "written with a default value".
 template <typename T>
 class PairTable {
  public:
   /// Grows the table to cover node ids [0, n). Amortized O(1) per node:
-  /// the dense stride doubles, so re-indexing totals O(final n^2).
+  /// the stride doubles, so re-indexing totals O(final n^2).
   void ensure_nodes(std::size_t n) {
     if (n <= nodes_) return;
     const std::size_t old_nodes = nodes_;
     nodes_ = n;
-    if (sparse_mode_) return;
-    if (nodes_ > kDenseNodeLimit) {
-      // Migrate what exists and stop paying n^2 memory.
-      for (std::size_t a = 0; a < old_nodes; ++a) {
-        for (std::size_t b = 0; b < old_nodes; ++b) {
-          if (used_[a * stride_ + b] != 0) {
-            sparse_.emplace((static_cast<std::uint64_t>(a) << 32) | b,
-                            std::move(dense_[a * stride_ + b]));
-          }
-        }
-      }
-      dense_.clear();
-      dense_.shrink_to_fit();
-      used_.clear();
-      used_.shrink_to_fit();
-      stride_ = 0;
-      sparse_mode_ = true;
-      return;
-    }
     if (nodes_ > stride_) {
       std::size_t new_stride = stride_ == 0 ? 8 : stride_;
       while (new_stride < nodes_) new_stride *= 2;
@@ -75,9 +48,6 @@ class PairTable {
   /// Mutable slot for (a, b), created value-initialized if absent.
   /// Precondition: both ids < the node count passed to ensure_nodes.
   T& slot(std::uint32_t a, std::uint32_t b) {
-    if (sparse_mode_) {
-      return sparse_[(static_cast<std::uint64_t>(a) << 32) | b];
-    }
     const std::size_t idx = a * stride_ + b;
     used_[idx] = 1;
     return dense_[idx];
@@ -85,10 +55,6 @@ class PairTable {
 
   /// Read-only lookup; nullptr when the pair was never written.
   [[nodiscard]] const T* find(std::uint32_t a, std::uint32_t b) const {
-    if (sparse_mode_) {
-      auto it = sparse_.find((static_cast<std::uint64_t>(a) << 32) | b);
-      return it == sparse_.end() ? nullptr : &it->second;
-    }
     if (a >= nodes_ || b >= nodes_) return nullptr;
     const std::size_t idx = a * stride_ + b;
     return used_[idx] != 0 ? &dense_[idx] : nullptr;
@@ -97,10 +63,8 @@ class PairTable {
  private:
   std::size_t nodes_ = 0;
   std::size_t stride_ = 0;
-  bool sparse_mode_ = false;
   std::vector<T> dense_;
   std::vector<std::uint8_t> used_;
-  std::unordered_map<std::uint64_t, T> sparse_;
 };
 
 }  // namespace zendoo::net

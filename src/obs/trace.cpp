@@ -2,17 +2,6 @@
 
 namespace zendoo::obs {
 
-const char* to_string(Severity s) {
-  switch (s) {
-    case Severity::kTrace: return "trace";
-    case Severity::kDebug: return "debug";
-    case Severity::kInfo: return "info";
-    case Severity::kWarn: return "warn";
-    case Severity::kError: return "error";
-  }
-  return "unknown";
-}
-
 EventLog::EventLog(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity) {}
 

@@ -32,8 +32,6 @@ enum class Severity : std::uint8_t {
   kError = 4,
 };
 
-[[nodiscard]] const char* to_string(Severity s);
-
 /// One logged event. `time` is whatever clock the emitting layer runs
 /// on (sim ticks, block height); `a`/`b` are free slots (peer id,
 /// score, depth...) documented by the message.

@@ -201,27 +201,22 @@ TEST_P(SidechainNetSweep, SidechainStateSurvivesNetworkReorgs) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SidechainNetSweep,
                          ::testing::Values(11, 12, 13, 14));
 
-// ---- Headers-first vs legacy-walk catch-up comparison ----
+// ---- Headers-first deep catch-up ----
 //
-// The same deep catch-up scenario under both sync modes must end on the
-// identical chain (mode only changes how history is fetched, never what
-// is accepted) while headers-first spends strictly fewer announce
-// rounds, simulated ticks and delivered messages.
+// A node rejoining past the orphan pool's reach must fetch the whole
+// branch in one announce round — the header chain maps the branch, the
+// scheduler pulls every body — and end on exactly the state a
+// from-genesis replay of its chain produces.
 
 struct CatchUpOutcome {
-  Digest tip;
   Digest fingerprint;
+  Digest replay;  ///< from-genesis replay of the straggler's chain
   std::uint64_t height = 0;
-  std::size_t rounds = 0;        ///< announce rounds until synced
-  net::SimTime ticks = 0;        ///< sim time spent after the heal
-  std::uint64_t delivered = 0;   ///< messages delivered after the heal
+  std::size_t rounds = 0;  ///< announce rounds until synced
 };
 
-CatchUpOutcome run_catch_up(std::uint64_t seed, net::SyncMode mode,
-                            std::uint64_t depth) {
-  net::SyncConfig sync;
-  sync.mode = mode;
-  net::NodeCluster c(seed, 5, sync);
+CatchUpOutcome run_catch_up(std::uint64_t seed, std::uint64_t depth) {
+  net::NodeCluster c(seed, 5);
   const std::size_t straggler = 4;
   c.net.partition({{0, 1, 2, 3}, {straggler}});
   for (std::uint64_t i = 0; i < depth; ++i) c[0].mine();
@@ -229,8 +224,6 @@ CatchUpOutcome run_catch_up(std::uint64_t seed, net::SyncMode mode,
   EXPECT_EQ(c[straggler].height(), 0u);
 
   c.net.heal();
-  const net::SimTime t0 = c.net.now();
-  const std::uint64_t delivered0 = c.net.stats().delivered;
   CatchUpOutcome out;
   for (std::size_t round = 1; round <= 64; ++round) {
     c[0].announce_tip();
@@ -241,40 +234,25 @@ CatchUpOutcome run_catch_up(std::uint64_t seed, net::SyncMode mode,
     }
   }
   EXPECT_GT(out.rounds, 0u) << "catch-up never completed, seed " << seed;
-  out.tip = c[straggler].tip();
   out.fingerprint = c[straggler].chain().state().state_fingerprint();
+  out.replay = replay_fingerprint(c[straggler].chain());
   out.height = c[straggler].height();
-  out.ticks = c.net.now() - t0;
-  out.delivered = c.net.stats().delivered - delivered0;
-  EXPECT_EQ(out.fingerprint, replay_fingerprint(c[straggler].chain()))
-      << "seed " << seed;
   return out;
 }
 
-class SyncModeComparison : public ::testing::TestWithParam<std::uint64_t> {};
+class HeadersFirstCatchUp : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SyncModeComparison, HeadersFirstMatchesLegacyChainWithFewerRoundTrips) {
+TEST_P(HeadersFirstCatchUp, SyncsPastOrphanPoolInOneRoundMatchingReplay) {
   const std::uint64_t seed = GetParam();
   const std::uint64_t depth = 192 + 32 * (seed % 3);  // past the orphan pool
 
-  CatchUpOutcome legacy =
-      run_catch_up(seed, net::SyncMode::kLegacyWalk, depth);
-  CatchUpOutcome hf = run_catch_up(seed, net::SyncMode::kHeadersFirst, depth);
-
-  // Same chain, either way.
-  EXPECT_EQ(hf.height, depth) << "seed " << seed;
-  EXPECT_EQ(hf.tip, legacy.tip) << "seed " << seed;
-  EXPECT_EQ(hf.fingerprint, legacy.fingerprint) << "seed " << seed;
-
-  // But headers-first syncs in one announce round and strictly less
-  // simulated time and traffic.
-  EXPECT_EQ(hf.rounds, 1u) << "seed " << seed;
-  EXPECT_GT(legacy.rounds, hf.rounds) << "seed " << seed;
-  EXPECT_LT(hf.ticks, legacy.ticks) << "seed " << seed;
-  EXPECT_LT(hf.delivered, legacy.delivered) << "seed " << seed;
+  CatchUpOutcome out = run_catch_up(seed, depth);
+  EXPECT_EQ(out.height, depth) << "seed " << seed;
+  EXPECT_EQ(out.rounds, 1u) << "seed " << seed;
+  EXPECT_EQ(out.fingerprint, out.replay) << "seed " << seed;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SyncModeComparison,
+INSTANTIATE_TEST_SUITE_P(Seeds, HeadersFirstCatchUp,
                          ::testing::Values(21, 22, 23));
 
 }  // namespace

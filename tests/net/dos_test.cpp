@@ -77,10 +77,15 @@ TEST(Dos, MalformedPayloadsBanAfterThreshold) {
 TEST(Dos, UnknownMessageTagScoresAsMalformed) {
   DosRig rig(13);
   rig.net.send(rig.attacker, rig.victim.id(), {0x7f, 0x01, 0x02});
+  // Tag 2 with a 32-byte hash body — the shape of the retired
+  // single-block request — is just another unknown tag.
+  std::vector<std::uint8_t> retired_get_block(1 + 32, 0xab);
+  retired_get_block[0] = 0x02;
+  rig.net.send(rig.attacker, rig.victim.id(), retired_get_block);
   rig.net.run_until_idle();
-  EXPECT_EQ(rig.victim.peer_state(rig.attacker).malformed, 1u);
+  EXPECT_EQ(rig.victim.peer_state(rig.attacker).malformed, 2u);
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).score,
-            rig.victim.sync_config().dos.malformed_penalty);
+            2 * rig.victim.sync_config().dos.malformed_penalty);
 }
 
 TEST(Dos, OversizedHeaderBatchBansInstantly) {

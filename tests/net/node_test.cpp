@@ -1,8 +1,8 @@
 // NetNode gossip tests: propagation, out-of-order delivery through the
-// orphan pool, the legacy getblock backfill walk, the headers-first
-// download pipeline (deep catch-up, stalling peers, competing forks),
-// miner races, and the scenario layer — §5.1 fork resolution driven by
-// actual message schedules instead of hand-fed rival branches.
+// orphan pool, the headers-first download pipeline (backfill, deep
+// catch-up, stalling peers, competing forks), miner races, and the
+// scenario layer — §5.1 fork resolution driven by actual message
+// schedules instead of hand-fed rival branches.
 #include "net/node.hpp"
 
 #include <gtest/gtest.h>
@@ -14,12 +14,6 @@ namespace {
 
 using crypto::Digest;
 using crypto::Domain;
-
-SyncConfig legacy_sync() {
-  SyncConfig sync;
-  sync.mode = SyncMode::kLegacyWalk;
-  return sync;
-}
 
 /// From-genesis replay oracle: rebuilds the node's advertised active
 /// chain into a fresh state machine and returns its fingerprint.
@@ -40,9 +34,10 @@ Digest replay_fingerprint(const mainchain::Blockchain& chain) {
 }
 
 /// Repeated announce/drain rounds until every node reaches `target`'s
-/// tip — how deep catch-up progresses when one sync round cannot cover
-/// the whole gap (the legacy walk is bounded by the orphan pool).
-/// Returns the number of rounds used, or `max_rounds + 1` on failure.
+/// tip — what a peer re-advertising its tip does for nodes still behind
+/// (a stalled sync gives up after max_request_attempts and waits for the
+/// next announcement). Returns the number of rounds used, or
+/// `max_rounds + 1` on failure.
 std::size_t announce_until_synced(NodeCluster& c, std::size_t target,
                                   std::size_t max_rounds = 64) {
   for (std::size_t round = 1; round <= max_rounds; ++round) {
@@ -74,8 +69,8 @@ TEST(NetNode, MinedBlockPropagatesToAllPeers) {
   EXPECT_EQ(c[1].stats().received(MsgType::kGetHeaders), 0u);
 }
 
-TEST(NetNode, OutOfOrderBlockBackfilledViaGetBlock) {
-  NodeCluster c(2, 2, legacy_sync());
+TEST(NetNode, OutOfOrderBlockBackfilledViaHeaderSync) {
+  NodeCluster c(2, 2);
   // Node 1 misses the first block entirely (partitioned), then receives
   // the second — whose parent it lacks — after the heal.
   c.net.partition({{0}, {1}});
@@ -87,11 +82,13 @@ TEST(NetNode, OutOfOrderBlockBackfilledViaGetBlock) {
   c[0].mine();
   c.net.run_until_idle();
 
-  // The orphaned tip triggered a getblock walk that fetched the parent.
+  // The orphaned tip triggered a header sync that mapped the missing
+  // parent, then a kGetData that fetched its body.
   EXPECT_EQ(c[1].height(), 2u);
   EXPECT_EQ(c[1].tip(), c[0].tip());
   EXPECT_GE(c[1].stats().orphans_buffered, 1u);
-  EXPECT_GE(c[0].stats().get_block_served, 1u);
+  EXPECT_GE(c[0].stats().get_headers_served, 1u);
+  EXPECT_GE(c[0].stats().get_data_served, 1u);
 }
 
 TEST(NetNode, LongerBranchWinsTheRace) {
@@ -136,7 +133,7 @@ TEST(NetNode, EqualLengthTieHoldsUntilTieBreakBlock) {
 }
 
 TEST(NetNode, LostBackfillRequestRecoversOnRedelivery) {
-  NodeCluster c(9, 2, legacy_sync());
+  NodeCluster c(9, 2);
   // Node 1 misses two blocks, then receives the tip after a heal...
   c.net.partition({{0}, {1}});
   c[0].mine();
@@ -145,16 +142,18 @@ TEST(NetNode, LostBackfillRequestRecoversOnRedelivery) {
   c.net.heal();
   c[0].announce_tip();
   ASSERT_TRUE(c.net.step());  // deliver the announce: node 1 orphans the
-                              // tip and sends a kGetBlock for its parent
+                              // tip and sends a kGetHeaders locator
   ASSERT_TRUE(c[1].chain().orphan_count() > 0);
-  // ...but the cut comes back before the backfill request lands: the
-  // request dies in flight and node 1 is stuck with a buffered orphan.
+  // ...but the cut comes back before the kGetHeaders lands: it dies in
+  // flight, every stall retry dies the same way until the attempts run
+  // out, and node 1 is stuck with a buffered orphan.
   c.net.partition({{0}, {1}});
   c.net.run_until_idle();
   EXPECT_EQ(c[1].height(), 0u);
 
-  // A later redelivery of the same tip is a kDuplicate (it's already in
-  // the orphan pool) — which must re-arm the walk, not stall forever.
+  // A later redelivery of the same tip is a duplicate of the orphan the
+  // wire dedup already knows — which must re-arm the header sync through
+  // that fast path, not stall forever.
   c.net.heal();
   c[0].announce_tip();
   c.net.run_until_idle();
@@ -208,20 +207,6 @@ TEST(HeadersFirst, DeepBehindNodeSyncsInOneAnnounceRound) {
   EXPECT_EQ(c[4].blocks_in_flight(), 0u);
   EXPECT_EQ(c[4].chain().state().state_fingerprint(),
             replay_fingerprint(c[4].chain()));
-}
-
-TEST(HeadersFirst, LegacyWalkNeedsManyAnnounceRoundsForSameDepth) {
-  // Contrast case for the test above: the same 300-block gap under the
-  // legacy walk takes multiple announce rounds, because each round can
-  // only backfill as much as the orphan pool holds.
-  NodeCluster c(21, 5, legacy_sync());
-  c.net.partition({{0, 1, 2, 3}, {4}});
-  for (int i = 0; i < 300; ++i) c[0].mine();
-  c.net.run_until_idle();
-  c.net.heal();
-  std::size_t rounds = announce_until_synced(c, 0);
-  EXPECT_EQ(c[4].height(), 300u);
-  EXPECT_GT(rounds, 1u);
 }
 
 TEST(HeadersFirst, StalledDownloadReRequestsFromAnotherPeer) {
@@ -319,33 +304,6 @@ TEST(HeadersFirst, DeepSyncUnderDeferredParallelValidation) {
   EXPECT_EQ(c[3].height(), 128u);
   EXPECT_EQ(c[3].chain().state().state_fingerprint(),
             c[0].chain().state().state_fingerprint());
-}
-
-TEST(HeadersFirst, ServesHeadersAndDataToLegacyPeersToo) {
-  // Serving is mode-independent: a legacy-walk node still answers
-  // kGetHeaders/kGetData, so mixed clusters interoperate.
-  SimNet net(37);
-  mainchain::ChainParams params;
-  auto key = [](std::uint64_t i) {
-    return crypto::KeyPair::from_seed(crypto::Hasher(Domain::kGeneric)
-                                          .write_str("mixed-miner")
-                                          .write_u64(i)
-                                          .finalize());
-  };
-  NetNode legacy(net, params, key(0), legacy_sync());
-  NetNode modern(net, params, key(1));
-  net.partition({{0}, {1}});
-  for (int i = 0; i < 40; ++i) legacy.mine();
-  net.run_until_idle();
-  net.heal();
-  for (int round = 0; round < 4 && modern.tip() != legacy.tip(); ++round) {
-    legacy.announce_tip();
-    net.run_until_idle();
-  }
-  EXPECT_EQ(modern.height(), 40u);
-  EXPECT_EQ(modern.tip(), legacy.tip());
-  EXPECT_GE(legacy.stats().get_headers_served, 1u);
-  EXPECT_GE(legacy.stats().get_data_served, 1u);
 }
 
 // ---------------------------------------------------------------------
