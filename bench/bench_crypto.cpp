@@ -5,14 +5,17 @@
 // SNARK prover (Def 2.4).
 //
 // Series: one Fp::mul (a dependent chain, so it measures latency as the
-// point formulas see it), one signature, one verification, one keypair
-// derivation. Inputs rotate over a seeded pool of 64.
+// point formulas see it), one signature, one verification, one
+// verification answered by a warm SignatureMemo (what a Latus node pays to
+// re-check a signature it already verified), one keypair derivation.
+// Inputs rotate over a seeded pool of 64.
 #include "bench_json.hpp"
 
 #include <vector>
 
 #include "crypto/ecc.hpp"
 #include "crypto/rng.hpp"
+#include "crypto/signature_memo.hpp"
 
 namespace {
 
@@ -66,12 +69,18 @@ void BM_SchnorrSign(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrSign);
 
+std::vector<Signature> signatures(const std::vector<KeyPair>& ks,
+                                  const std::vector<Digest>& msgs) {
+  std::vector<Signature> out;
+  out.reserve(kPool);
+  for (std::size_t i = 0; i < kPool; ++i) out.push_back(ks[i].sign(msgs[i]));
+  return out;
+}
+
 void BM_SchnorrVerify(benchmark::State& state) {
   const std::vector<KeyPair> ks = keys();
   const std::vector<Digest> msgs = digests(2);
-  std::vector<Signature> sigs;
-  sigs.reserve(kPool);
-  for (std::size_t i = 0; i < kPool; ++i) sigs.push_back(ks[i].sign(msgs[i]));
+  const std::vector<Signature> sigs = signatures(ks, msgs);
   std::size_t i = 0;
   for (auto _ : state) {
     const std::size_t k = i++ % kPool;
@@ -84,6 +93,29 @@ void BM_SchnorrVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchnorrVerify);
+
+void BM_SchnorrVerifyMemoHit(benchmark::State& state) {
+  const std::vector<KeyPair> ks = keys();
+  const std::vector<Digest> msgs = digests(2);
+  const std::vector<Signature> sigs = signatures(ks, msgs);
+  crypto::SignatureMemo memo;
+  for (std::size_t k = 0; k < kPool; ++k) {
+    if (!memo.verify(ks[k].public_key(), msgs[k], sigs[k])) {
+      state.SkipWithError("valid signature rejected");
+      return;
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t k = i++ % kPool;
+    bool ok = memo.verify(ks[k].public_key(), msgs[k], sigs[k]);
+    benchmark::DoNotOptimize(ok);
+  }
+  if (memo.stats().executed != kPool) {
+    state.SkipWithError("a warm memo ran a verification");
+  }
+}
+BENCHMARK(BM_SchnorrVerifyMemoHit);
 
 void BM_KeyFromSeed(benchmark::State& state) {
   const std::vector<Digest> seeds = digests(3);

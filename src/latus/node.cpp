@@ -46,13 +46,7 @@ std::string LatusNode::observe_mc_block(const mainchain::Block& block) {
     if (block.header.prev_hash != mc_hash_by_height_[*last_mc_height_]) {
       return "MC block does not extend the previously observed block";
     }
-  } else if (h > 0) {
-    // First observation: remember the parent hash too (needed when it is
-    // an epoch-boundary block, e.g. genesis for epoch 0).
-    mc_hash_by_height_[h - 1] = block.header.prev_hash;
   }
-  last_mc_height_ = h;
-  mc_hash_by_height_[h] = hash;
 
   const SidechainId& id = mc_params_.ledger_id;
   merkle::ScTxCommitmentTree tree = block.build_commitment_tree();
@@ -83,21 +77,30 @@ std::string LatusNode::observe_mc_block(const mainchain::Block& block) {
     if (!btrtx.requests.empty()) ref.bt_requests = std::move(btrtx);
 
     for (const mainchain::WithdrawalCertificate& cert : block.certificates) {
-      if (cert.ledger_id == id) {
-        ref.wcert = cert;
-        // Remember the acceptance evidence: it anchors future BTR/CSW
-        // ownership proofs (H(B_w) in Def 4.5) and extends the Appendix-A
-        // certificate history.
-        observed_cert_ = ObservedCert{cert, block.header, *ref.mproof};
-        observed_history_.push_back(*observed_cert_);
-      }
+      if (cert.ledger_id == id) ref.wcert = cert;
     }
   } else {
     ref.proof_of_no_data = tree.prove_absence(id);
   }
 
+  // Only a verified block is observed: a refused one leaves the node
+  // waiting for a block at the same height.
   if (std::string err = ref.verify(id); !err.empty()) {
     return "constructed reference fails verification: " + err;
+  }
+  if (!last_mc_height_ && h > 0) {
+    // First observation: remember the parent hash too (needed when it is
+    // an epoch-boundary block, e.g. genesis for epoch 0).
+    mc_hash_by_height_[h - 1] = block.header.prev_hash;
+  }
+  last_mc_height_ = h;
+  mc_hash_by_height_[h] = hash;
+  if (ref.wcert) {
+    // Remember the acceptance evidence: it anchors future BTR/CSW
+    // ownership proofs (H(B_w) in Def 4.5) and extends the Appendix-A
+    // certificate history.
+    observed_cert_ = ObservedCert{*ref.wcert, block.header, *ref.mproof};
+    observed_history_.push_back(*observed_cert_);
   }
   pending_refs_.emplace_back(std::move(ref), h);
   return "";
@@ -194,7 +197,7 @@ std::string LatusNode::forge_block() {
     for (PaymentTx& tx : mempool_payments_) {
       Digest before = state_.commitment();
       LatusState pre = state_;
-      if (apply_payment(state_, tx).empty()) {
+      if (apply_payment(state_, tx, proofs_.signature_memo()).empty()) {
         snark::TransitionStep step{before, state_.commitment(),
                                    TransitionWitness{std::move(pre), tx}};
         epoch_steps_.push_back(std::move(step));
@@ -205,7 +208,8 @@ std::string LatusNode::forge_block() {
     for (BackwardTransferTx& tx : mempool_bts_) {
       Digest before = state_.commitment();
       LatusState pre = state_;
-      if (apply_backward_transfer(state_, tx).empty()) {
+      if (apply_backward_transfer(state_, tx, proofs_.signature_memo())
+              .empty()) {
         snark::TransitionStep step{before, state_.commitment(),
                                    TransitionWitness{std::move(pre), tx}};
         epoch_steps_.push_back(std::move(step));

@@ -1,5 +1,6 @@
 #include "latus/proofs.hpp"
 
+#include <memory>
 #include <stdexcept>
 
 namespace zendoo::latus {
@@ -29,14 +30,19 @@ struct CswProverInput {
   std::vector<DeltaLink> links;
 };
 
-snark::TransitionChecker make_checker() {
-  return [](const Digest& before, const Digest& after, const std::any& t) {
+/// The base-transition circuit. Its signature memo comes from the proof
+/// system that set it up, never from the witness, so a prover can only
+/// skip checks this node already ran and passed.
+snark::TransitionChecker make_checker(
+    std::shared_ptr<crypto::SignatureMemo> memo) {
+  return [memo = std::move(memo)](const Digest& before, const Digest& after,
+                                  const std::any& t) {
     const auto* w = std::any_cast<TransitionWitness>(&t);
     if (w == nullptr) return false;
     LatusState state = w->before_state;
     if (state.commitment() != before) return false;
     TxVariant tx = w->tx;  // derived fields recomputed by apply
-    if (!apply_transaction(state, tx).empty()) return false;
+    if (!apply_transaction(state, tx, *memo).empty()) return false;
     return state.commitment() == after;
   };
 }
@@ -116,7 +122,9 @@ LatusProofSystem::LatusProofSystem(const SidechainId& ledger_id,
                                    unsigned mst_depth)
     : ledger_id_(ledger_id),
       mst_depth_(mst_depth),
-      transitions_(make_checker(), "latus/" + ledger_id.to_hex()) {
+      signature_memo_(std::make_shared<crypto::SignatureMemo>()),
+      transitions_(make_checker(signature_memo_),
+                   "latus/" + ledger_id.to_hex()) {
   // ---- WCert circuit (§5.5.3.1) ----
   // Captures the transition system's verification key: "the circuit embeds
   // the verifier of the epoch transition proof".

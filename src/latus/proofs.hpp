@@ -1,6 +1,7 @@
 // Latus SNARK circuits (paper §5.4, §5.5.3).
 //
-// One LatusProofSystem exists per sidechain (per ledgerId). It owns:
+// A LatusProofSystem serves one sidechain (one ledgerId); every node of
+// that sidechain derives the same keys. It owns:
 //
 //  * the recursive state-transition system (§5.4): Base proofs for single
 //    transactions, Merge proofs per block and per withdrawal epoch
@@ -15,9 +16,21 @@
 //
 // The verification keys are what the sidechain registers on the mainchain
 // at creation (§4.2).
+//
+// The proof system also owns its node's crypto::SignatureMemo, and the
+// base-transition circuit captures it at setup. Forging fills it, so the
+// circuit's re-run of a forged payment verifies no signature again. A hit
+// is sound for the reason latus/transactions.hpp gives: the memo holds
+// only triples verify_signature accepted, keyed by all of their bytes, and
+// the circuit recomputes each signing digest from the witnessed
+// transaction. The memo never travels in a TransitionWitness or
+// LatusState, so a prover cannot bring its own. Copies of the proof system
+// (a node's checkpoints) share the memo; each setup keeps its own circuit
+// instance (see snark::ProvingKey), so two nodes never share one.
 #pragma once
 
 #include <deque>
+#include <memory>
 
 #include "latus/block.hpp"
 #include "snark/recursive.hpp"
@@ -103,6 +116,12 @@ class LatusProofSystem {
     return transitions_;
   }
 
+  /// This node's memo of verified spend signatures: LatusNode forges
+  /// through it, and the transition circuit checks through it.
+  [[nodiscard]] crypto::SignatureMemo& signature_memo() const {
+    return *signature_memo_;
+  }
+
   /// Verification keys to register on the mainchain (§4.2).
   [[nodiscard]] const snark::VerifyingKey& wcert_vk() const { return wcert_vk_; }
   [[nodiscard]] const snark::VerifyingKey& btr_vk() const { return btr_vk_; }
@@ -145,6 +164,8 @@ class LatusProofSystem {
  private:
   SidechainId ledger_id_;
   unsigned mst_depth_;
+  /// Declared before transitions_, whose circuit captures it.
+  std::shared_ptr<crypto::SignatureMemo> signature_memo_;
   snark::TransitionProofSystem transitions_;
   snark::ProvingKey wcert_pk_;
   snark::VerifyingKey wcert_vk_;

@@ -32,10 +32,13 @@ void write_bts(Hasher& h,
 }
 
 /// Shared validation for signature-authorized spends (PaymentTx / BTTx).
+/// Inputs that carry one copied signature verify it once: the second input
+/// hits the memo.
 std::string validate_spend(const LatusState& state,
                            const std::vector<SignedInput>& inputs,
                            const Digest& signing_digest,
-                           unsigned __int128 total_out) {
+                           unsigned __int128 total_out,
+                           crypto::SignatureMemo& memo) {
   if (inputs.empty()) return "transaction has no inputs";
   std::unordered_set<std::uint64_t> spent_slots;
   unsigned __int128 total_in = 0;
@@ -46,7 +49,7 @@ std::string validate_spend(const LatusState& state,
     if (crypto::address_of(in.pubkey) != in.utxo.addr) {
       return "input public key does not match UTXO address";
     }
-    if (!crypto::verify_signature(in.pubkey, signing_digest, in.sig)) {
+    if (!memo.verify(in.pubkey, signing_digest, in.sig)) {
       return "invalid input signature";
     }
     total_in += in.utxo.amount;
@@ -111,11 +114,12 @@ Digest tx_id(const TxVariant& tx) {
   return std::visit([](const auto& t) { return t.id(); }, tx);
 }
 
-std::string apply_payment(LatusState& state, const PaymentTx& tx) {
+std::string apply_payment(LatusState& state, const PaymentTx& tx,
+                          crypto::SignatureMemo& memo) {
   unsigned __int128 total_out = 0;
   for (const Utxo& o : tx.outputs) total_out += o.amount;
-  if (std::string err =
-          validate_spend(state, tx.inputs, tx.signing_digest(), total_out);
+  if (std::string err = validate_spend(state, tx.inputs, tx.signing_digest(),
+                                       total_out, memo);
       !err.empty()) {
     return err;
   }
@@ -175,14 +179,15 @@ std::string apply_forward_transfers(LatusState& state,
 }
 
 std::string apply_backward_transfer(LatusState& state,
-                                    const BackwardTransferTx& tx) {
+                                    const BackwardTransferTx& tx,
+                                    crypto::SignatureMemo& memo) {
   if (tx.backward_transfers.empty()) {
     return "backward transfer transaction with no transfers";
   }
   unsigned __int128 total_out = 0;
   for (const auto& bt : tx.backward_transfers) total_out += bt.amount;
-  if (std::string err =
-          validate_spend(state, tx.inputs, tx.signing_digest(), total_out);
+  if (std::string err = validate_spend(state, tx.inputs, tx.signing_digest(),
+                                       total_out, memo);
       !err.empty()) {
     return err;
   }
@@ -215,16 +220,17 @@ std::string apply_btr(LatusState& state, BtrTx& tx) {
   return "";
 }
 
-std::string apply_transaction(LatusState& state, TxVariant& tx) {
+std::string apply_transaction(LatusState& state, TxVariant& tx,
+                              crypto::SignatureMemo& memo) {
   return std::visit(
       [&](auto& t) -> std::string {
         using T = std::decay_t<decltype(t)>;
         if constexpr (std::is_same_v<T, PaymentTx>) {
-          return apply_payment(state, t);
+          return apply_payment(state, t, memo);
         } else if constexpr (std::is_same_v<T, ForwardTransfersTx>) {
           return apply_forward_transfers(state, t);
         } else if constexpr (std::is_same_v<T, BackwardTransferTx>) {
-          return apply_backward_transfer(state, t);
+          return apply_backward_transfer(state, t, memo);
         } else {
           return apply_btr(state, t);
         }

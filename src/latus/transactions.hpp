@@ -9,11 +9,20 @@
 //
 // Application is transactional: on any validation failure the state is
 // unchanged and a diagnostic is returned.
+//
+// Spend signatures are checked through a crypto::SignatureMemo, a required
+// argument: a LatusNode passes its proof system's memo, a ScValidator its
+// own. A memo hit is sound: the memo holds only (public key, signing
+// digest, signature) triples that verify_signature accepted, keyed by all
+// of their bytes, and the signing digest is recomputed from the
+// transaction at every check. A tampered signature, or any changed signed
+// field, misses the memo and is verified, and rejected, in full.
 #pragma once
 
 #include <string>
 #include <variant>
 
+#include "crypto/signature_memo.hpp"
 #include "latus/state.hpp"
 #include "mainchain/types.hpp"
 
@@ -97,18 +106,21 @@ using TxVariant =
 
 // ---- update functions (§5.3.x) ----
 // Each returns "" on success; on failure the state is untouched. FTTx and
-// BtrTx fill their derived fields.
+// BtrTx fill their derived fields. Signature checks go through `memo`.
 
 [[nodiscard]] std::string apply_payment(LatusState& state,
-                                        const PaymentTx& tx);
+                                        const PaymentTx& tx,
+                                        crypto::SignatureMemo& memo);
 [[nodiscard]] std::string apply_forward_transfers(LatusState& state,
                                                   ForwardTransfersTx& tx);
 [[nodiscard]] std::string apply_backward_transfer(
-    LatusState& state, const BackwardTransferTx& tx);
+    LatusState& state, const BackwardTransferTx& tx,
+    crypto::SignatureMemo& memo);
 [[nodiscard]] std::string apply_btr(LatusState& state, BtrTx& tx);
 
 /// Dispatch over TxVariant.
-[[nodiscard]] std::string apply_transaction(LatusState& state, TxVariant& tx);
+[[nodiscard]] std::string apply_transaction(LatusState& state, TxVariant& tx,
+                                            crypto::SignatureMemo& memo);
 
 // ---- builders ----
 

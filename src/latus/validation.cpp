@@ -107,12 +107,14 @@ std::string ScValidator::accept(const ScBlock& block) {
     }
   }
   for (const PaymentTx& tx : block.payments) {
-    if (std::string err = apply_payment(replay, tx); !err.empty()) {
+    if (std::string err = apply_payment(replay, tx, signature_memo_);
+        !err.empty()) {
       return "payment invalid: " + err;
     }
   }
   for (const BackwardTransferTx& tx : block.bt_txs) {
-    if (std::string err = apply_backward_transfer(replay, tx);
+    if (std::string err =
+            apply_backward_transfer(replay, tx, signature_memo_);
         !err.empty()) {
       return "backward transfer invalid: " + err;
     }

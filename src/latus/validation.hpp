@@ -46,6 +46,9 @@ class ScValidator {
   std::uint64_t epoch_len_;
   std::uint64_t current_we_ = 0;
   LatusState state_;
+  /// This validator's own verified-signature memo (a block's two-input
+  /// payments verify their copied signature once).
+  crypto::SignatureMemo signature_memo_;
   std::vector<Digest> hashes_;
   /// Hash of the previously referenced MC block (reference ordering rule).
   std::optional<Digest> last_mc_ref_;

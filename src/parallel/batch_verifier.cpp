@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "crypto/signature_memo.hpp"
+
 namespace zendoo::parallel {
 
 bool ProofCheck::operator()() const {
@@ -16,29 +18,19 @@ bool ProofCheck::operator()() const {
 }
 
 Digest ProofCheck::cache_key() const {
-  crypto::Hasher h(crypto::Domain::kGeneric);
-  switch (kind) {
-    case Kind::kSnark:
-      h.write_str("check:snark").write(vk.id);
-      h.write_u64(statement.size());
-      for (const Digest& d : statement) h.write(d);
-      h.write(proof.binding);
-      break;
-    case Kind::kSignature:
-      h.write_str("check:sig")
-          .write(pubkey.first)
-          .write(pubkey.second)
-          .write(msg)
-          .write(sig.rx)
-          .write(sig.ry)
-          .write(sig.s);
-      break;
+  if (kind == Kind::kSignature) {
+    return crypto::SignatureMemo::key(pubkey, msg, sig);
   }
+  crypto::Hasher h(crypto::Domain::kGeneric);
+  h.write_str("check:snark").write(vk.id);
+  h.write_u64(statement.size());
+  for (const Digest& d : statement) h.write(d);
+  h.write(proof.binding);
   return h.finalize();
 }
 
 ValidationContext::ValidationContext(ValidationConfig config)
-    : config_(config) {
+    : config_(config), cache_(config.cache_capacity) {
   executed_ = registry_.atomic_counter("par.checks_executed");
   hits_ = registry_.atomic_counter("par.cache_hits");
   batches_ = registry_.atomic_counter("par.batches");
@@ -60,7 +52,6 @@ CheckQueue<ProofCheck>& ValidationContext::queue() {
 }
 
 bool ValidationContext::cache_contains(const Digest& key) {
-  if (config_.cache_capacity == 0) return false;
   std::scoped_lock lock(cache_mu_);
   if (!cache_.contains(key)) return false;
   hits_->add(1);
@@ -68,12 +59,7 @@ bool ValidationContext::cache_contains(const Digest& key) {
 }
 
 void ValidationContext::cache_insert(const Digest& key) {
-  if (config_.cache_capacity == 0) return;
   std::scoped_lock lock(cache_mu_);
-  // Generation dump: predictable, and a full cache means one whole
-  // generation of checks stays memoized — good enough for the
-  // probe-then-connect flows the cache exists for.
-  if (cache_.size() >= config_.cache_capacity) cache_.clear();
   cache_.insert(key);
 }
 

@@ -20,10 +20,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "crypto/digest_set.hpp"
 #include "crypto/ecc.hpp"
 #include "obs/trace.hpp"
 #include "parallel/check_queue.hpp"
@@ -113,7 +113,7 @@ class ValidationContext {
   std::unique_ptr<CheckQueue<ProofCheck>> queue_;
 
   mutable std::mutex cache_mu_;
-  std::unordered_set<Digest, crypto::DigestHash> cache_;
+  crypto::BoundedDigestSet cache_;
 
   /// Owns the counters behind ValidationStats; the pointers below are
   /// hot-path handles into registry-owned atomic storage (the worker

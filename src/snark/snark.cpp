@@ -13,14 +13,14 @@ using crypto::Hasher;
 
 /// The process-global "cryptographic oracle" backing the simulated SNARKs.
 ///
-/// Maps key ids to the binding secret plus the circuit. The secret never
-/// leaves this translation unit; the only way to obtain a valid proof is
-/// through prove(), which enforces witness satisfaction first.
+/// Maps key ids to the binding secret (plus the circuit of an R1CS key).
+/// The secret never leaves this translation unit; the only way to obtain a
+/// valid proof is through prove(), which enforces witness satisfaction
+/// first.
 class Oracle {
  public:
   struct Entry {
     Digest secret;
-    Predicate predicate;                          // for PredicateSnark
     std::shared_ptr<const ConstraintSystem> cs;   // for R1csSnark
   };
 
@@ -37,8 +37,10 @@ class Oracle {
                     .finalize();
     entry.secret =
         Hasher(Domain::kSnarkKey).write(id).write_str("secret").finalize();
+    // A repeated setup of one label derives the same id and secret; the
+    // entry a concurrent prove() may be reading stays untouched.
     std::scoped_lock lock(mu_);
-    entries_[id] = std::move(entry);
+    entries_.try_emplace(id, std::move(entry));
     return id;
   }
 
@@ -78,21 +80,20 @@ std::pair<ProvingKey, VerifyingKey> PredicateSnark::setup(Predicate circuit,
   }
   Digest circuit_id =
       Hasher(Domain::kSnarkKey).write_str("predicate").write_str(label).finalize();
-  Oracle::Entry entry;
-  entry.predicate = std::move(circuit);
-  Digest id =
-      Oracle::instance().register_entry(std::move(entry), label, circuit_id);
-  return {ProvingKey{id}, VerifyingKey{id}};
+  Digest id = Oracle::instance().register_entry({}, label, circuit_id);
+  ProvingKey pk(id);
+  pk.circuit_ = std::make_shared<const Predicate>(std::move(circuit));
+  return {std::move(pk), VerifyingKey{id}};
 }
 
 std::optional<Proof> PredicateSnark::prove(const ProvingKey& pk,
                                            const Statement& statement,
                                            const Witness& witness) {
   const Oracle::Entry* e = Oracle::instance().find(pk.id);
-  if (e == nullptr || !e->predicate) {
+  if (e == nullptr || pk.circuit_ == nullptr) {
     throw std::invalid_argument("PredicateSnark::prove: unknown proving key");
   }
-  if (!e->predicate(statement, witness)) return std::nullopt;
+  if (!(*pk.circuit_)(statement, witness)) return std::nullopt;
   return Proof{bind_proof(e->secret, statement)};
 }
 

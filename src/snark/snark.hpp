@@ -15,7 +15,10 @@
 // Simulation model: Setup deposits a secret in a process-global oracle
 // keyed by the key id; Prove checks that the witness actually satisfies the
 // circuit and only then emits the 32-byte binding proof
-// = H(secret ‖ circuit ‖ statement); Verify recomputes it.
+// = H(secret ‖ circuit ‖ statement); Verify recomputes it. A predicate
+// circuit travels in the proving key its setup returns, not in the oracle,
+// so every prover runs the circuit instance it set up (two nodes of one
+// sidechain share keys, but each circuit captures its own node's state).
 // Completeness, knowledge-soundness (no path constructs a valid proof
 // without a satisfying witness, short of guessing a 256-bit MAC) and
 // succinctness (constant proof size, O(|statement|) verification) all hold.
@@ -47,11 +50,6 @@ struct Proof {
   }
 };
 
-/// Opaque proving-key handle. Only the holder can produce proofs.
-struct ProvingKey {
-  Digest id;
-};
-
 /// Opaque verification-key handle, registered with the mainchain at
 /// sidechain creation (paper §4.2). A null key disables the operation
 /// (paper §4.1.2.1: "by setting vkBTR and vkCSW to NULL").
@@ -75,6 +73,21 @@ using Witness = std::any;
 /// A "compiled circuit": decides whether witness satisfies the relation
 /// for the given statement.
 using Predicate = std::function<bool(const Statement&, const Witness&)>;
+
+/// Opaque proving-key handle. Only the holder can produce proofs. A
+/// PredicateSnark key also holds the circuit its setup compiled, which
+/// only setup can put there; copies of the key share that circuit.
+class ProvingKey {
+ public:
+  ProvingKey() = default;
+  explicit ProvingKey(const Digest& key_id) : id(key_id) {}
+
+  Digest id;
+
+ private:
+  friend class PredicateSnark;
+  std::shared_ptr<const Predicate> circuit_;
+};
 
 /// SNARK over an arbitrary predicate circuit.
 class PredicateSnark {

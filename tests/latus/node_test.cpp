@@ -15,6 +15,12 @@ using crypto::Domain;
 using crypto::hash_str;
 using crypto::KeyPair;
 
+/// `sig` with its response scalar moved by one: in range, but invalid.
+crypto::Signature tampered_s(crypto::Signature sig) {
+  sig.s = crypto::u256::addmod(sig.s, crypto::u256{1}, crypto::secp256k1::kN);
+  return sig;
+}
+
 class NodeTest : public ::testing::Test {
  protected:
   NodeTest()
@@ -43,11 +49,13 @@ class NodeTest : public ::testing::Test {
     return out;
   }
 
-  void fund_alice(mainchain::Amount amount) {
+  /// Credits alice with `coins` coins of `amount` each, in one MC block.
+  void fund_alice(mainchain::Amount amount, std::size_t coins = 1) {
     mainchain::Mempool pool;
-    pool.transactions.push_back(*wallet_.forward_transfer(
+    pool.transactions.push_back(*wallet_.forward_transfer_many(
         chain_.state(), node_.mc_params().ledger_id,
-        {alice_.address(), alice_.address()}, amount));
+        std::vector<mainchain::Wallet::FtSpec>(
+            coins, {{alice_.address(), alice_.address()}, amount})));
     mine_and_observe(pool);
     ASSERT_EQ(node_.forge_until_synced(), "");
   }
@@ -70,6 +78,34 @@ TEST_F(NodeTest, ObserveRequiresOrder) {
   EXPECT_NE(node_.observe_mc_block(b2), "");
   EXPECT_EQ(node_.observe_mc_block(b1), "");
   EXPECT_EQ(node_.observe_mc_block(b2), "");
+}
+
+TEST_F(NodeTest, RefusedMcBlockDoesNotWedgeObservation) {
+  // A block whose body was tampered after mining is refused, and the
+  // genuine block at that height is still observed and credited.
+  mainchain::Mempool pool;
+  pool.transactions.push_back(*wallet_.forward_transfer(
+      chain_.state(), node_.mc_params().ledger_id,
+      {alice_.address(), alice_.address()}, 1'000));
+  mainchain::Block genuine;
+  ASSERT_TRUE(miner_.mine_and_submit(pool, &genuine).accepted());
+  mainchain::Block tampered = genuine;
+  bool tampered_ft = false;
+  for (mainchain::Transaction& tx : tampered.transactions) {
+    for (auto& ft : tx.forward_transfers) {
+      ft.amount += 1;
+      tampered_ft = true;
+    }
+  }
+  ASSERT_TRUE(tampered_ft);
+  auto last = node_.last_observed_mc_height();
+  EXPECT_NE(node_.observe_mc_block(tampered), "");
+  EXPECT_EQ(node_.last_observed_mc_height(), last);
+  EXPECT_EQ(node_.observed_mc_hash(genuine.header.height), std::nullopt);
+
+  EXPECT_EQ(node_.observe_mc_block(genuine), "");
+  ASSERT_EQ(node_.forge_until_synced(), "");
+  EXPECT_EQ(node_.state().balance_of(alice_.address()), 1'000u);
 }
 
 TEST_F(NodeTest, ForgeConsumesReferences) {
@@ -264,6 +300,100 @@ TEST_F(NodeTest, InvalidMempoolPaymentDropped) {
   ASSERT_EQ(node_.forge_block(), "");
   EXPECT_TRUE(node_.chain().back().payments.empty());
   EXPECT_EQ(node_.state().balance_of(alice_.address()), 1'000u);
+}
+
+TEST_F(NodeTest, TamperedSignaturePaymentDropped) {
+  fund_alice(1'000, 2);
+  auto coins = node_.state().utxos_of(alice_.address());
+  ASSERT_EQ(coins.size(), 2u);
+  PaymentTx tx =
+      build_payment({coins[0], coins[1]}, alice_, {{bob_.address(), 2'000}});
+  // The first input verifies and enters the memo; the second input's
+  // tampered copy of the signature must still fail.
+  tx.inputs[1].sig = tampered_s(tx.inputs[1].sig);
+  Digest before = node_.state().commitment();
+  node_.submit_payment(tx);
+  ASSERT_EQ(node_.forge_block(), "");
+  EXPECT_TRUE(node_.chain().back().payments.empty());
+  EXPECT_EQ(node_.state().commitment(), before);
+}
+
+TEST_F(NodeTest, MemoizedPaymentIsStillCheckedByTheCircuit) {
+  fund_alice(1'000, 2);
+  auto coins = node_.state().utxos_of(alice_.address());
+  ASSERT_EQ(coins.size(), 2u);
+  PaymentTx tx = build_payment({coins[0], coins[1]}, alice_,
+                               {{bob_.address(), 1'500},
+                                {alice_.address(), 500}});
+  LatusState pre = node_.state();
+  node_.submit_payment(tx);
+  ASSERT_EQ(node_.forge_block(), "");
+  ASSERT_EQ(node_.chain().back().payments.size(), 1u);
+  const Digest before = pre.commitment();
+  const Digest after = node_.state().commitment();
+  const LatusProofSystem& proofs = node_.proofs();
+  (void)proofs.prove_transition(before, after, TransitionWitness{pre, tx});
+
+  // Same states, tampered s: only the signature can fail.
+  PaymentTx bad_sig = tx;
+  for (SignedInput& in : bad_sig.inputs) in.sig = tampered_s(in.sig);
+  EXPECT_THROW((void)proofs.prove_transition(before, after,
+                                             TransitionWitness{pre, bad_sig}),
+               std::invalid_argument);
+
+  // A changed amount keeps the signature but not the signing digest.
+  // `reached` is the state the changed payment would produce, so again
+  // only the signature can fail...
+  PaymentTx bad_amount = tx;
+  bad_amount.outputs[0].amount -= 1;
+  LatusState reached = pre;
+  for (const SignedInput& in : bad_amount.inputs) {
+    ASSERT_TRUE(reached.remove_utxo(in.utxo));
+  }
+  for (const Utxo& o : bad_amount.outputs) ASSERT_TRUE(reached.insert_utxo(o));
+  EXPECT_THROW(
+      (void)proofs.prove_transition(before, reached.commitment(),
+                                    TransitionWitness{pre, bad_amount}),
+      std::invalid_argument);
+  // ...as the same payment, signed by alice, proves.
+  PaymentTx resigned = build_payment({coins[0], coins[1]}, alice_,
+                                     {{bob_.address(), 1'499},
+                                      {alice_.address(), 500}});
+  ASSERT_EQ(resigned.outputs, bad_amount.outputs);
+  (void)proofs.prove_transition(before, reached.commitment(),
+                                TransitionWitness{pre, resigned});
+}
+
+TEST_F(NodeTest, EpochVerifiesEachPaymentSignatureOnce) {
+  // k two-input payments, forged and then proven into the certificate:
+  // each signature is verified once, when its first input is forged. Its
+  // second input and both inputs' re-run in the transition circuit hit the
+  // memo (4k verifications without it).
+  constexpr std::uint64_t k = 3;
+  fund_alice(1'000, 2 * k);
+  while (node_.pending_certificates() > 0) {
+    ASSERT_TRUE(node_.build_certificate().has_value());
+  }
+  auto coins = node_.state().utxos_of(alice_.address());
+  ASSERT_EQ(coins.size(), 2 * k);
+  const crypto::SignatureMemoStats start =
+      node_.proofs().signature_memo().stats();
+  for (std::uint64_t i = 0; i < k; ++i) {
+    node_.submit_payment(build_payment({coins[2 * i], coins[2 * i + 1]},
+                                       alice_, {{bob_.address(), 2'000}}));
+  }
+  ASSERT_EQ(node_.forge_block(), "");
+  ASSERT_EQ(node_.chain().back().payments.size(), k);
+  while (node_.pending_certificates() == 0) {
+    mine_and_observe({});
+    ASSERT_EQ(node_.forge_until_synced(), "");
+  }
+  ASSERT_EQ(node_.pending_certificates(), 1u);
+  ASSERT_TRUE(node_.build_certificate().has_value());
+  const crypto::SignatureMemoStats end =
+      node_.proofs().signature_memo().stats();
+  EXPECT_EQ(end.executed - start.executed, k);
+  EXPECT_EQ(end.hits - start.hits, 3 * k);
 }
 
 TEST_F(NodeTest, MultiForgerLeadershipRotates) {

@@ -42,13 +42,42 @@ TEST(LatusProofSystemTest, TransitionProofRoundTrip) {
   PaymentTx tx =
       build_payment({coin}, alice, {{alice.address(), 100}});
   TxVariant variant{tx};
-  ASSERT_EQ(apply_transaction(state, variant), "");
+  crypto::SignatureMemo memo;
+  ASSERT_EQ(apply_transaction(state, variant, memo), "");
   Digest after = state.commitment();
 
   auto proof = sys.prove_transition(before, after,
                                     TransitionWitness{pre, variant});
   EXPECT_TRUE(sys.transitions().verify(before, after, proof));
   EXPECT_FALSE(sys.transitions().verify(after, before, proof));
+}
+
+TEST(LatusProofSystemTest, MemoIsPerProofSystemAndSharedByCopies) {
+  // Two proof systems of one ledger share every key, but each transition
+  // circuit checks through its own system's memo; a copy (a checkpoint)
+  // shares the memo of its source.
+  auto id = hash_str(Domain::kGeneric, "memo-sc");
+  LatusProofSystem a(id, 8);
+  LatusProofSystem b(id, 8);
+  LatusProofSystem a_copy = a;
+  EXPECT_EQ(&a_copy.signature_memo(), &a.signature_memo());
+  EXPECT_NE(&b.signature_memo(), &a.signature_memo());
+
+  KeyPair alice = KeyPair::from_seed(hash_str(Domain::kGeneric, "a"));
+  LatusState pre(8);
+  Utxo coin{alice.address(), 100, hash_str(Domain::kGeneric, "n")};
+  ASSERT_TRUE(pre.insert_utxo(coin));
+  TxVariant variant{build_payment({coin}, alice, {{alice.address(), 100}})};
+  LatusState post = pre;
+  ASSERT_EQ(apply_transaction(post, variant, a.signature_memo()), "");
+  TransitionWitness w{pre, variant};
+
+  (void)b.prove_transition(pre.commitment(), post.commitment(), w);
+  EXPECT_EQ(b.signature_memo().stats().executed, 1u);
+  EXPECT_EQ(b.signature_memo().stats().hits, 0u);
+  (void)a_copy.prove_transition(pre.commitment(), post.commitment(), w);
+  EXPECT_EQ(a.signature_memo().stats().executed, 1u);
+  EXPECT_EQ(a.signature_memo().stats().hits, 1u);
 }
 
 TEST(LatusProofSystemTest, TransitionProverRejectsWrongStates) {

@@ -25,6 +25,7 @@ struct Fixture : ::testing::Test {
 
   KeyPair alice, bob;
   LatusState state;
+  crypto::SignatureMemo memo;
 };
 
 using PaymentTest = Fixture;
@@ -33,7 +34,7 @@ TEST_F(PaymentTest, ValidPaymentMovesCoins) {
   Utxo coin = credit(alice, 100, "c1");
   PaymentTx tx = build_payment({coin}, alice,
                                {{bob.address(), 60}, {alice.address(), 40}});
-  ASSERT_EQ(apply_payment(state, tx), "");
+  ASSERT_EQ(apply_payment(state, tx, memo), "");
   EXPECT_FALSE(state.contains(coin));
   EXPECT_EQ(state.balance_of(bob.address()), 60u);
   EXPECT_EQ(state.balance_of(alice.address()), 40u);
@@ -43,14 +44,14 @@ TEST_F(PaymentTest, ValidPaymentMovesCoins) {
 TEST_F(PaymentTest, OverspendRejected) {
   Utxo coin = credit(alice, 100, "c1");
   PaymentTx tx = build_payment({coin}, alice, {{bob.address(), 101}});
-  EXPECT_NE(apply_payment(state, tx), "");
+  EXPECT_NE(apply_payment(state, tx, memo), "");
   EXPECT_TRUE(state.contains(coin));
 }
 
 TEST_F(PaymentTest, WrongKeyRejected) {
   Utxo coin = credit(alice, 100, "c1");
   PaymentTx tx = build_payment({coin}, bob, {{bob.address(), 100}});
-  EXPECT_NE(apply_payment(state, tx), "");
+  EXPECT_NE(apply_payment(state, tx, memo), "");
 }
 
 TEST_F(PaymentTest, TamperedSignatureRejected) {
@@ -59,43 +60,62 @@ TEST_F(PaymentTest, TamperedSignatureRejected) {
   tx.inputs[0].sig.s =
       crypto::u256::addmod(tx.inputs[0].sig.s, crypto::u256{1},
                            crypto::secp256k1::kN);
-  EXPECT_NE(apply_payment(state, tx), "");
+  EXPECT_NE(apply_payment(state, tx, memo), "");
 }
 
 TEST_F(PaymentTest, TamperedOutputRejected) {
   Utxo coin = credit(alice, 100, "c1");
   PaymentTx tx = build_payment({coin}, alice, {{bob.address(), 50}});
   tx.outputs[0].amount = 100;  // breaks the signature
-  EXPECT_NE(apply_payment(state, tx), "");
+  EXPECT_NE(apply_payment(state, tx, memo), "");
 }
 
 TEST_F(PaymentTest, UnknownInputRejected) {
   Utxo ghost{alice.address(), 100, hash_str(Domain::kGeneric, "ghost")};
   PaymentTx tx = build_payment({ghost}, alice, {{bob.address(), 100}});
-  EXPECT_EQ(apply_payment(state, tx), "input not in the MST");
+  EXPECT_EQ(apply_payment(state, tx, memo), "input not in the MST");
 }
 
 TEST_F(PaymentTest, DoubleSpendAcrossTxsRejected) {
   Utxo coin = credit(alice, 100, "c1");
   PaymentTx tx1 = build_payment({coin}, alice, {{bob.address(), 100}});
   PaymentTx tx2 = build_payment({coin}, alice, {{alice.address(), 100}});
-  ASSERT_EQ(apply_payment(state, tx1), "");
-  EXPECT_EQ(apply_payment(state, tx2), "input not in the MST");
+  ASSERT_EQ(apply_payment(state, tx1, memo), "");
+  EXPECT_EQ(apply_payment(state, tx2, memo), "input not in the MST");
 }
 
 TEST_F(PaymentTest, DuplicateInputWithinTxRejected) {
   Utxo coin = credit(alice, 100, "c1");
   PaymentTx tx = build_payment({coin, coin}, alice, {{bob.address(), 150}});
-  EXPECT_EQ(apply_payment(state, tx), "duplicate input");
+  EXPECT_EQ(apply_payment(state, tx, memo), "duplicate input");
 }
 
 TEST_F(PaymentTest, MultiInputPayment) {
   Utxo c1 = credit(alice, 60, "c1");
   Utxo c2 = credit(alice, 40, "c2");
   PaymentTx tx = build_payment({c1, c2}, alice, {{bob.address(), 100}});
-  ASSERT_EQ(apply_payment(state, tx), "");
+  ASSERT_EQ(apply_payment(state, tx, memo), "");
   EXPECT_EQ(state.balance_of(bob.address()), 100u);
   EXPECT_EQ(state.balance_of(alice.address()), 0u);
+  // Both inputs carry one copied signature: verified once, then a hit.
+  EXPECT_EQ(memo.stats().executed, 1u);
+  EXPECT_EQ(memo.stats().hits, 1u);
+}
+
+TEST_F(PaymentTest, TamperedSecondInputMissesTheMemo) {
+  Utxo c1 = credit(alice, 60, "c1");
+  Utxo c2 = credit(alice, 40, "c2");
+  PaymentTx tx = build_payment({c1, c2}, alice, {{bob.address(), 100}});
+  tx.inputs[1].sig.s =
+      crypto::u256::addmod(tx.inputs[1].sig.s, crypto::u256{1},
+                           crypto::secp256k1::kN);
+  // The first input verifies and enters the memo; the second input's
+  // triple differs in s, so it is verified in full and fails.
+  EXPECT_EQ(apply_payment(state, tx, memo), "invalid input signature");
+  EXPECT_EQ(memo.stats().executed, 2u);
+  EXPECT_EQ(memo.stats().hits, 0u);
+  EXPECT_TRUE(state.contains(c1));
+  EXPECT_TRUE(state.contains(c2));
 }
 
 using FtTest = Fixture;
@@ -169,7 +189,7 @@ TEST_F(BtTest, BackwardTransferQueuesBt) {
   Utxo coin = credit(alice, 100, "c1");
   BackwardTransferTx tx = build_backward_transfer(
       {coin}, alice, {{hash_str(Domain::kAddress, "mc-alice"), 100}});
-  ASSERT_EQ(apply_backward_transfer(state, tx), "");
+  ASSERT_EQ(apply_backward_transfer(state, tx, memo), "");
   EXPECT_FALSE(state.contains(coin));
   ASSERT_EQ(state.backward_transfers().size(), 1u);
   EXPECT_EQ(state.backward_transfers()[0].amount, 100u);
@@ -180,14 +200,14 @@ TEST_F(BtTest, BtOverspendRejected) {
   Utxo coin = credit(alice, 100, "c1");
   BackwardTransferTx tx = build_backward_transfer(
       {coin}, alice, {{hash_str(Domain::kAddress, "mc-alice"), 101}});
-  EXPECT_NE(apply_backward_transfer(state, tx), "");
+  EXPECT_NE(apply_backward_transfer(state, tx, memo), "");
   EXPECT_TRUE(state.contains(coin));
 }
 
 TEST_F(BtTest, EmptyBtListRejected) {
   Utxo coin = credit(alice, 100, "c1");
   BackwardTransferTx tx = build_backward_transfer({coin}, alice, {});
-  EXPECT_NE(apply_backward_transfer(state, tx), "");
+  EXPECT_NE(apply_backward_transfer(state, tx, memo), "");
 }
 
 using BtrTxTest = Fixture;
@@ -216,7 +236,7 @@ TEST_F(BtrTxTest, SpentUtxoRejectedSilently) {
   Utxo coin = credit(alice, 100, "c1");
   // Spend it first inside the SC (the §5.3.4 double-spend race).
   PaymentTx spend = build_payment({coin}, alice, {{bob.address(), 100}});
-  ASSERT_EQ(apply_payment(state, spend), "");
+  ASSERT_EQ(apply_payment(state, spend, memo), "");
   BtrTx tx;
   tx.requests.push_back(btr_for(coin, hash_str(Domain::kAddress, "mc")));
   ASSERT_EQ(apply_btr(state, tx), "");  // tx applies...

@@ -103,6 +103,27 @@ TEST(PredicateSnark, DeterministicSetupPerLabel) {
   EXPECT_EQ(vk1, vk2);
 }
 
+TEST(PredicateSnark, EachSetupProvesWithItsOwnCircuit) {
+  // Two setups of one label share their keys, but each proving key runs
+  // the circuit its own setup compiled, not the latest one registered.
+  auto accepts = [](int wanted) -> Predicate {
+    return [wanted](const Statement&, const Witness& w) {
+      const auto* v = std::any_cast<int>(&w);
+      return v != nullptr && *v == wanted;
+    };
+  };
+  auto [pk1, vk1] = PredicateSnark::setup(accepts(1), "per-setup-label");
+  auto [pk2, vk2] = PredicateSnark::setup(accepts(2), "per-setup-label");
+  ASSERT_EQ(vk1, vk2);
+  Statement st{statement_u64(0)};
+  EXPECT_TRUE(PredicateSnark::prove(pk1, st, 1).has_value());
+  EXPECT_FALSE(PredicateSnark::prove(pk1, st, 2).has_value());
+  auto proof = PredicateSnark::prove(pk2, st, 2);
+  ASSERT_TRUE(proof.has_value());
+  EXPECT_FALSE(PredicateSnark::prove(pk2, st, 1).has_value());
+  EXPECT_TRUE(PredicateSnark::verify(vk1, st, *proof));
+}
+
 TEST(R1csSnarkTest, ProveVerifyRoundTrip) {
   auto cs = std::make_shared<ConstraintSystem>();
   std::uint32_t out = cs->allocate_public();
