@@ -2,6 +2,7 @@
 // plus ordinary block processing.
 //
 // Series: block validation/connection vs payment count (signature-bound),
+// block assembly vs payment count with a warm verified-check cache,
 // epoch bookkeeping (finalization sweep) vs number of registered
 // sidechains, and PoW mining cost at the simulation target.
 #include "bench_json.hpp"
@@ -18,25 +19,27 @@ crypto::KeyPair key_of(const char* name) {
       crypto::hash_str(crypto::Domain::kGeneric, name));
 }
 
+/// Mines `n` blocks to `key` and returns a mempool of `n` independent
+/// single-input payments, one spending each of their coinbases.
+Mempool payments_pool(Blockchain& chain, const crypto::KeyPair& key,
+                      std::size_t n) {
+  Miner(chain, key.address()).mine_empty(n);
+  Mempool pool;
+  for (const auto& [op, out] : chain.state().utxos_of(key.address())) {
+    Transaction tx;
+    tx.inputs.push_back(TxInput{op, {}, {}});
+    tx.outputs.push_back(TxOutput{key.address(), out.amount});
+    pool.transactions.push_back(sign_all_inputs(std::move(tx), key));
+  }
+  return pool;
+}
+
 void BM_BlockConnectPayments(benchmark::State& state) {
   std::size_t n = static_cast<std::size_t>(state.range(0));
   auto miner_key = key_of("miner");
   Blockchain chain{ChainParams{}};
   Miner miner(chain, miner_key.address());
-  Wallet wallet(miner_key);
-  (void)wallet;
-  // n independent coins (one coinbase per mined block) so the benchmark
-  // block carries n parallel single-input payments.
-  Mempool pool;
-  miner.mine_empty(n);
-  auto coins = chain.state().utxos_of(miner_key.address());
-  for (std::size_t i = 0; i < n && i < coins.size(); ++i) {
-    Transaction tx;
-    tx.inputs.push_back(TxInput{coins[i].first, {}, {}});
-    tx.outputs.push_back(TxOutput{miner_key.address(),
-                                  coins[i].second.amount});
-    pool.transactions.push_back(sign_all_inputs(std::move(tx), miner_key));
-  }
+  Mempool pool = payments_pool(chain, miner_key, n);
   Block block = miner.build_block(pool);
   for (auto _ : state) {
     ChainState s = chain.state();
@@ -51,6 +54,37 @@ BENCHMARK(BM_BlockConnectPayments)
     ->Range(1, 32)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
+
+void BM_BuildBlock(benchmark::State& state) {
+  // Assembly of k signed payments whose signatures the verified-check
+  // cache already holds (the first build fills it), so each build prices
+  // the assembler's own work. Per-build counters: cache_hits is 2k, k for
+  // the item pass and k for the final dry_run (k(k+1)/2 for the greedy
+  // assembler's k dry runs over growing blocks); checks_executed is 0
+  // once the cache is warm.
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  auto miner_key = key_of("miner");
+  Blockchain chain{ChainParams{}};
+  Miner miner(chain, miner_key.address());
+  Mempool pool = payments_pool(chain, miner_key, k);
+  benchmark::DoNotOptimize(miner.build_block(pool));
+  const parallel::ValidationContext& ctx = *chain.state().validation_context();
+  const parallel::ValidationStats before = ctx.stats();
+  for (auto _ : state) {
+    Block block = miner.build_block(pool);
+    benchmark::DoNotOptimize(block);
+  }
+  const parallel::ValidationStats after = ctx.stats();
+  const auto builds = static_cast<double>(state.iterations());
+  state.counters["cache_hits"] =
+      static_cast<double>(after.cache_hits - before.cache_hits) / builds;
+  state.counters["checks_executed"] =
+      static_cast<double>(after.checks_executed - before.checks_executed) /
+      builds;
+  state.counters["txs"] = static_cast<double>(k);
+}
+BENCHMARK(BM_BuildBlock)->Arg(8)->Arg(32)->Arg(128)->Unit(
+    benchmark::kMillisecond);
 
 void BM_EpochFinalizationSweep(benchmark::State& state) {
   // Cost of the per-block epoch bookkeeping as sidechain count grows.

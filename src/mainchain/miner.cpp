@@ -1,85 +1,113 @@
 #include "mainchain/miner.hpp"
 
-#include <functional>
+#include <optional>
+#include <set>
+#include <stdexcept>
 
 namespace zendoo::mainchain {
 
 namespace {
 
-/// Recompute header commitments for the current body.
-void refresh_header(Block& block) {
-  block.header.tx_merkle_root = block.compute_tx_merkle_root();
-  block.header.sc_txs_commitment = block.build_commitment_tree().root();
+/// Applies one mempool item (`apply(view, deferred)`, a per-item rule of
+/// view.hpp) into an overlay over `block_view`, verifies its deferred
+/// checks, and flushes it into `block_view` iff both pass. An item that
+/// fails leaves `block_view` untouched; one that fails a stateful rule
+/// never has its checks verified.
+template <typename Apply>
+bool apply_item(CacheView& block_view, parallel::ValidationContext* vctx,
+                Apply apply) {
+  CacheView item_view(block_view);
+  std::optional<parallel::BatchProofVerifier> batch;
+  if (vctx != nullptr) batch.emplace(*vctx);
+  std::string err = apply(item_view, batch ? &*batch : nullptr);
+  if (err.empty() && batch) err = batch->run();
+  if (!err.empty()) return false;
+  item_view.flush_into(block_view);
+  return true;
 }
 
 }  // namespace
 
 Block Miner::build_block(const Mempool& pool) const {
   const ChainState& state = chain_.state();
+  const std::uint64_t height = state.height() + 1;
+  parallel::ValidationContext* vctx = state.validation_context().get();
 
   Block block;
   block.header.prev_hash = state.tip_hash();
-  block.header.height = state.height() + 1;
+  block.header.height = height;
+  block.transactions.emplace_back();  // the coinbase, once fees are known
 
-  // Coinbase placeholder (value fixed after fee selection).
-  Transaction coinbase;
-  coinbase.is_coinbase = true;
-  coinbase.coinbase_height = block.header.height;
-  coinbase.outputs.push_back(
-      TxOutput{coinbase_address_, chain_.params().block_subsidy});
-  block.transactions.push_back(coinbase);
-
-  // Greedy selection: keep an item iff the block still dry-runs cleanly
-  // with it added. Dropped items simply stay out (mempool policy).
-  auto try_add = [&](const std::function<void(Block&)>& add,
-                     const std::function<void(Block&)>& remove) {
-    add(block);
-    refresh_header(block);
-    if (!state.dry_run(block).empty()) {
-      remove(block);
-      refresh_header(block);
-    }
-  };
+  ReadOnlyView frozen(state);
+  CacheView block_view(frozen);
+  if (std::string err = finalize_epochs(block_view, height); !err.empty()) {
+    throw std::logic_error("build_block: " + err);
+  }
 
   for (const SidechainParams& sc : pool.sidechain_creations) {
-    try_add([&](Block& b) { b.sidechain_creations.push_back(sc); },
-            [](Block& b) { b.sidechain_creations.pop_back(); });
+    if (apply_item(block_view, vctx, [&](WriteView& v, auto*) {
+          return apply_creation(v, sc, height);
+        })) {
+      block.sidechain_creations.push_back(sc);
+    }
   }
+  Amount fees = 0;
   for (const Transaction& tx : pool.transactions) {
-    try_add([&](Block& b) { b.transactions.push_back(tx); },
-            [](Block& b) { b.transactions.pop_back(); });
+    Amount tx_fee = 0;
+    if (apply_item(block_view, vctx, [&](WriteView& v, auto* deferred) {
+          return apply_transaction(v, tx, &tx_fee, deferred);
+        })) {
+      block.transactions.push_back(tx);
+      fees += tx_fee;
+    }
   }
+  // The block's hash is not known until its body is final, so
+  // certificates record a zero H(B_w) here. Only the BTR and CSW
+  // statements below read it, and neither applies to a sidechain
+  // certified in this block: BTRs against one are skipped, and a CSW needs
+  // a ceased sidechain, which cannot be certified.
+  std::set<SidechainId> certified;
   for (const WithdrawalCertificate& cert : pool.certificates) {
-    try_add([&](Block& b) { b.certificates.push_back(cert); },
-            [](Block& b) { b.certificates.pop_back(); });
+    // One certificate per sidechain per block (§4.1.3).
+    if (certified.contains(cert.ledger_id)) continue;
+    if (apply_item(block_view, vctx, [&](WriteView& v, auto* deferred) {
+          return apply_certificate(v, cert, height, Digest{}, deferred);
+        })) {
+      certified.insert(cert.ledger_id);
+      block.certificates.push_back(cert);
+    }
   }
   for (const BtrRequest& btr : pool.btrs) {
-    try_add([&](Block& b) { b.btrs.push_back(btr); },
-            [](Block& b) { b.btrs.pop_back(); });
+    // Against a certificate in this block a BTR's statement reads this
+    // block's hash, which commits to the BTR itself: it can never verify.
+    if (certified.contains(btr.ledger_id)) continue;
+    if (apply_item(block_view, vctx, [&](WriteView& v, auto* deferred) {
+          return apply_btr(v, btr, deferred);
+        })) {
+      block.btrs.push_back(btr);
+    }
   }
   for (const CeasedSidechainWithdrawal& csw : pool.csws) {
-    try_add([&](Block& b) { b.csws.push_back(csw); },
-            [](Block& b) { b.csws.pop_back(); });
-  }
-
-  // Claim fees: total inputs minus outputs across included transactions.
-  unsigned __int128 fees = 0;
-  for (std::size_t i = 1; i < block.transactions.size(); ++i) {
-    const Transaction& tx = block.transactions[i];
-    unsigned __int128 in = 0, out = 0;
-    for (const TxInput& input : tx.inputs) {
-      const TxOutput* utxo = state.find_utxo(input.prevout);
-      if (utxo != nullptr) in += utxo->amount;
+    if (apply_item(block_view, vctx, [&](WriteView& v, auto* deferred) {
+          return apply_csw(v, csw, deferred);
+        })) {
+      block.csws.push_back(csw);
     }
-    out += tx.total_output();
-    out += tx.total_forward_transfer();
-    if (in > out) fees += in - out;
   }
-  block.transactions[0].outputs[0].amount =
-      chain_.params().block_subsidy + static_cast<Amount>(fees);
-  refresh_header(block);
 
+  Transaction& coinbase = block.transactions[0];
+  coinbase.is_coinbase = true;
+  coinbase.coinbase_height = height;
+  coinbase.outputs.push_back(
+      TxOutput{coinbase_address_, chain_.params().block_subsidy + fees});
+  block.header.tx_merkle_root = block.compute_tx_merkle_root();
+  block.header.sc_txs_commitment = block.build_commitment_tree().root();
   solve_pow(block, chain_.params().pow_target);
+
+  // The TestBlockValidity check: every rule again, over the whole block.
+  if (std::string err = state.dry_run(block); !err.empty()) {
+    throw std::logic_error("build_block: assembled an invalid block: " + err);
+  }
   return block;
 }
 

@@ -9,8 +9,11 @@
 
 namespace zendoo::mainchain {
 
-/// Pending items awaiting inclusion in a block. Invalid items are dropped
-/// (not included) at assembly time, mirroring mempool policy.
+/// Pending items awaiting inclusion in a block. Assembly offers them in
+/// apply_block's category order (creations, transactions, certificates,
+/// BTRs, CSWs) and, within a category, in vector order; an item that does
+/// not validate after the ones kept before it is left out (mempool
+/// policy).
 struct Mempool {
   std::vector<Transaction> transactions;
   std::vector<SidechainParams> sidechain_creations;
@@ -38,9 +41,16 @@ class Miner {
   Miner(Blockchain& chain, Address coinbase_address)
       : chain_(chain), coinbase_address_(coinbase_address) {}
 
-  /// Assemble a valid block from `pool` on the current tip: greedily keeps
-  /// every pool item that still validates, builds the coinbase claiming
-  /// subsidy + fees, fills in both header commitments, and mines the nonce.
+  /// Assemble a valid block from `pool` on the current tip in one pass,
+  /// the shape of Bitcoin Core's BlockAssembler. Epochs are finalized
+  /// once into a block overlay. Each item is applied with apply_block's
+  /// per-item rules into a nested overlay, with its own proof batch, and
+  /// kept iff it validates. A second certificate for one sidechain is
+  /// skipped, and so is a BTR against a certificate in this block. Then
+  /// the coinbase claims subsidy + the fees of the kept transactions, both
+  /// header commitments are computed, and the nonce is mined. A final
+  /// dry_run of the finished block plays TestBlockValidity: it throws
+  /// std::logic_error if the block is invalid, which is a bug.
   [[nodiscard]] Block build_block(const Mempool& pool) const;
 
   /// Build from `pool`, mine, and submit. Returns the submit result and,

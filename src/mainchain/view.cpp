@@ -66,14 +66,24 @@ void CacheView::add_nullifier_key(const Digest& key) {
   nullifiers_.insert(key);
 }
 
+void CacheView::flush_into(WriteView& target) const {
+  for (const auto& [op, entry] : utxos_) {
+    if (entry.has_value()) {
+      target.add_utxo(op, *entry);
+    } else {
+      target.spend_utxo(op);
+    }
+  }
+  for (const auto& [id, sc] : sidechains_) {
+    target.sidechain_for_update(id) = sc;
+  }
+  for (const Digest& key : nullifiers_) target.add_nullifier_key(key);
+}
+
 // ---------------------------------------------------------------------------
 // Block application (shared validation + state transition)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Finalize certificate windows closing at `new_height`; detect ceased
-/// sidechains (Def 4.2).
 std::string finalize_epochs(WriteView& view, std::uint64_t new_height) {
   for (const SidechainId& id : view.sidechain_ids()) {
     const SidechainStatus* sc_ro = view.find_sidechain(id);
@@ -114,25 +124,8 @@ std::string finalize_epochs(WriteView& view, std::uint64_t new_height) {
 }
 
 std::string apply_transaction(WriteView& view, const Transaction& tx,
-                              bool coinbase_slot, Amount* fees,
+                              Amount* fees,
                               parallel::BatchProofVerifier* deferred) {
-  if (coinbase_slot) {
-    if (!tx.is_coinbase) return "first transaction must be coinbase";
-    if (!tx.inputs.empty()) return "coinbase must have no inputs";
-    if (!tx.forward_transfers.empty()) {
-      return "coinbase cannot carry forward transfers";
-    }
-    if (tx.coinbase_height != view.height() + 1) {
-      return "coinbase height mismatch";
-    }
-    // Value check is performed by the caller once fees are known.
-    Digest txid = tx.id();
-    for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
-      view.add_utxo({txid, i}, tx.outputs[i]);
-    }
-    return "";
-  }
-
   if (tx.is_coinbase) return "unexpected coinbase transaction";
   if (tx.inputs.empty()) return "transaction has no inputs";
 
@@ -311,6 +304,26 @@ std::string apply_csw(WriteView& view, const CeasedSidechainWithdrawal& csw,
   return "";
 }
 
+namespace {
+
+/// The coinbase slot; its value is checked by the caller once fees are
+/// known.
+std::string apply_coinbase(WriteView& view, const Transaction& tx) {
+  if (!tx.is_coinbase) return "first transaction must be coinbase";
+  if (!tx.inputs.empty()) return "coinbase must have no inputs";
+  if (!tx.forward_transfers.empty()) {
+    return "coinbase cannot carry forward transfers";
+  }
+  if (tx.coinbase_height != view.height() + 1) {
+    return "coinbase height mismatch";
+  }
+  Digest txid = tx.id();
+  for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
+    view.add_utxo({txid, i}, tx.outputs[i]);
+  }
+  return "";
+}
+
 /// Sequential stateful application: every rule that reads or writes the
 /// overlay. Expensive stateless checks go through `deferred` when set.
 std::string apply_block_stateful(WriteView& view, const ChainParams& params,
@@ -355,8 +368,8 @@ std::string apply_block_stateful(WriteView& view, const ChainParams& params,
   if (block.transactions.empty()) return "block has no coinbase";
   Amount fees = 0;
   for (std::size_t i = 1; i < block.transactions.size(); ++i) {
-    if (std::string err = apply_transaction(view, block.transactions[i],
-                                            false, &fees, deferred);
+    if (std::string err =
+            apply_transaction(view, block.transactions[i], &fees, deferred);
         !err.empty()) {
       return err;
     }
@@ -367,9 +380,7 @@ std::string apply_block_stateful(WriteView& view, const ChainParams& params,
   if (coinbase.total_output() > params.block_subsidy + fees) {
     return "coinbase exceeds subsidy plus fees";
   }
-  if (std::string err =
-          apply_transaction(view, coinbase, true, &fees, deferred);
-      !err.empty()) {
+  if (std::string err = apply_coinbase(view, coinbase); !err.empty()) {
     return err;
   }
 

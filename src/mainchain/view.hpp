@@ -17,7 +17,9 @@
 //   * CacheView       — copy-on-write overlay: reads fall through to the
 //                       base, writes land in dirty-entry maps. connect
 //                       flushes the overlay in one batch; dry_run drops
-//                       it.
+//                       it. Overlays nest: block assembly applies each
+//                       candidate item into an overlay over the block's
+//                       overlay and flushes it there only if it validates.
 //
 // Connecting a block also emits a BlockUndo record — the exact delta
 // needed to roll the tip back in O(delta): spent outputs, created
@@ -180,6 +182,10 @@ class CacheView final : public WriteView {
   }
   [[nodiscard]] const StateView& base() const { return base_; }
 
+  /// Writes every dirty entry into `target` (usually the overlay this one
+  /// was stacked on), which then reads as this overlay did.
+  void flush_into(WriteView& target) const;
+
  private:
   const StateView& base_;
   std::unordered_map<OutPoint, std::optional<TxOutput>, OutPointHash> utxos_;
@@ -219,5 +225,41 @@ struct BlockUndo {
 [[nodiscard]] std::string apply_block(
     WriteView& view, const ChainParams& params, const Block& block,
     parallel::BatchProofVerifier* deferred = nullptr);
+
+// ---- Per-item rules ----
+//
+// The steps apply_block runs for a block at `new_height`, in its order.
+// Miner::build_block applies mempool items through them one at a time.
+// Each checks one item against `view` and, if it is valid, applies it; a
+// diagnostic means `view` may hold partial writes. With `deferred` set,
+// SNARK and signature checks are collected into it and the caller runs
+// it; with null they are verified inline.
+
+/// Step 1: finalizes the certificate windows that close at `new_height`
+/// and ceases each sidechain whose window closed without one (Def 4.2).
+[[nodiscard]] std::string finalize_epochs(WriteView& view,
+                                          std::uint64_t new_height);
+/// Step 2: registers a sidechain.
+[[nodiscard]] std::string apply_creation(WriteView& view,
+                                         const SidechainParams& sc,
+                                         std::uint64_t new_height);
+/// Step 3: a regular (non-coinbase) transaction; adds its fee to `*fees`.
+[[nodiscard]] std::string apply_transaction(
+    WriteView& view, const Transaction& tx, Amount* fees,
+    parallel::BatchProofVerifier* deferred);
+/// Step 5 (step 4 is the coinbase): a withdrawal certificate carried by
+/// the block whose hash is `block_hash`, which becomes the sidechain's
+/// H(B_w).
+[[nodiscard]] std::string apply_certificate(
+    WriteView& view, const WithdrawalCertificate& cert,
+    std::uint64_t new_height, const Digest& block_hash,
+    parallel::BatchProofVerifier* deferred);
+/// Step 6: a backward transfer request.
+[[nodiscard]] std::string apply_btr(WriteView& view, const BtrRequest& btr,
+                                    parallel::BatchProofVerifier* deferred);
+/// Step 7: a ceased sidechain withdrawal.
+[[nodiscard]] std::string apply_csw(WriteView& view,
+                                    const CeasedSidechainWithdrawal& csw,
+                                    parallel::BatchProofVerifier* deferred);
 
 }  // namespace zendoo::mainchain

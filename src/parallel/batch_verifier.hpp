@@ -11,8 +11,9 @@
 //
 // ValidationContext is the per-chain runtime: it owns the lazily started
 // worker pool plus a bounded cache of already-verified checks, shared
-// between dry_run and connect_block so the same proof is never paid for
-// twice (mempool-style probes, miner greedy assembly, probe-then-connect
+// between dry_run, connect_block and block assembly so the same proof is
+// never paid for twice (the miner's per-item checks, then its final
+// dry_run and the connect of the block it built; probe-then-connect
 // gossip flows).
 #pragma once
 
@@ -70,7 +71,9 @@ struct ProofCheck {
 struct ValidationStats {
   std::uint64_t checks_executed = 0;  ///< verifications actually run
   std::uint64_t cache_hits = 0;       ///< checks satisfied from the cache
-  std::uint64_t batches = 0;          ///< batch runs (one per apply_block)
+  /// Batch runs: one per apply_block and one per item Miner::build_block
+  /// verifies; a batch with no checks is not counted.
+  std::uint64_t batches = 0;
 };
 
 /// Per-chain validation runtime: configuration, lazily started worker
@@ -128,10 +131,12 @@ class ValidationContext {
 };
 
 /// Collects the stateless checks of one block application and verifies
-/// them in a single batch. Created per apply_block call; run() is called
-/// exactly once, either when application completes or at the point of a
-/// stateful failure (every check collected so far logically precedes
-/// that failure in sequential order, so its first failure wins).
+/// them in a single batch. Created per apply_block call, and per item by
+/// Miner::build_block. apply_block calls run() exactly once, either when
+/// application completes or at the point of a stateful failure (every
+/// check collected so far logically precedes that failure in sequential
+/// order, so its first failure wins). The miner runs it only for an item
+/// that passed every stateful rule, since a failed item is dropped anyway.
 class BatchProofVerifier {
  public:
   explicit BatchProofVerifier(ValidationContext& ctx) : ctx_(ctx) {}

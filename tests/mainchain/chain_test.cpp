@@ -154,6 +154,27 @@ TEST_F(MainchainTest, FeesGoToMiner) {
             2 * chain_.params().block_subsidy - 1'000'000);
 }
 
+TEST_F(MainchainTest, FeesOfChainedSpendsGoToMiner) {
+  miner_.mine_empty(1);
+  // A pays bob; B spends A's output 0 (bob's coin) back to alice in the
+  // same block. Both fees belong to the coinbase, or coins vanish.
+  Transaction a =
+      *wallet_.pay(chain_.state(), bob_.address(), 1'000'000, /*fee=*/5'000);
+  Transaction b;
+  b.inputs.push_back(TxInput{OutPoint{a.id(), 0}, {}, {}});
+  b.outputs.push_back(TxOutput{alice_.address(), 1'000'000 - 7'000});
+  b = sign_all_inputs(std::move(b), bob_);
+  Mempool pool;
+  pool.transactions = {a, b};
+  Block block = mine(pool);
+  ASSERT_EQ(block.transactions.size(), 3u);
+  EXPECT_EQ(block.transactions[0].total_output(),
+            chain_.params().block_subsidy + 12'000);
+  EXPECT_EQ(chain_.state().balance_of(alice_.address()) +
+                chain_.state().balance_of(bob_.address()),
+            2 * chain_.params().block_subsidy);
+}
+
 TEST_F(MainchainTest, InsufficientFundsYieldsNoTransaction) {
   EXPECT_FALSE(wallet_.pay(chain_.state(), bob_.address(), 1).has_value());
 }
