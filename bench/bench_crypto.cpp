@@ -2,19 +2,27 @@
 // operations that every movement of value pays for — MC transaction
 // inputs, Latus payments and backward transfers (§5.3), the BTR/CSW
 // ownership checks (§5.5.3.2/.3) and their re-execution inside the Base
-// SNARK prover (Def 2.4).
+// SNARK prover (Def 2.4) — and the SHA-256 under every authenticated
+// structure.
 //
 // Series: one Fp::mul (a dependent chain, so it measures latency as the
 // point formulas see it), one signature, one verification, one
 // verification answered by a warm SignatureMemo (what a Latus node pays to
-// re-check a signature it already verified), one keypair derivation.
+// re-check a signature it already verified), one keypair derivation, one
+// SHA-256 compression through the kernel this process selected (the JSON
+// header names it), and one 65-byte Merkle node hash (`hash_pair`, two
+// compressions; the unit of every MST and MHT path update).
 // Inputs rotate over a seeded pool of 64.
 #include "bench_json.hpp"
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crypto/ecc.hpp"
+#include "crypto/hash.hpp"
 #include "crypto/rng.hpp"
+#include "crypto/sha256.hpp"
 #include "crypto/signature_memo.hpp"
 
 namespace {
@@ -126,6 +134,34 @@ void BM_KeyFromSeed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KeyFromSeed);
+
+// A 64-byte update on an empty buffer is exactly one compression; the state
+// carries from block to block.
+void BM_Sha256Block(benchmark::State& state) {
+  crypto::Rng rng(5);
+  std::vector<std::uint8_t> blocks(kPool * 64);
+  for (std::uint8_t& b : blocks) b = static_cast<std::uint8_t>(rng.next_u64());
+  crypto::Sha256 sha;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    sha.update(std::span<const std::uint8_t>(&blocks[64 * (i++ % kPool)], 64));
+    benchmark::DoNotOptimize(sha);
+  }
+}
+BENCHMARK(BM_Sha256Block);
+
+// A dependent chain, as a path rehash runs.
+void BM_HashPair(benchmark::State& state) {
+  const std::vector<Digest> siblings = digests(6);
+  Digest acc = siblings[0];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    acc = crypto::hash_pair(crypto::Domain::kMerkleNode, acc,
+                            siblings[i++ % kPool]);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_HashPair);
 
 }  // namespace
 

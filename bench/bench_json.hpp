@@ -8,11 +8,17 @@
 //   {
 //     "area": "<area>",
 //     "hardware_concurrency": <threads the host exposes>,
+//     "sha256_kernel": "x86-sha" | "portable",
 //     "benchmarks": [
 //       { "name": "...", "iterations": N, "real_time": t, "cpu_time": t,
 //         "time_unit": "ns", "label": "...", "counters": {"k": v, ...} }
 //     ]
 //   }
+//
+// "sha256_kernel" is the SHA-256 compression kernel the run used
+// (crypto::sha256_kernel_name()). Hash-bound rows differ about five times
+// between the two kernels, so compare them only between records that name
+// the same one.
 //
 // Counter conventions (the keys a diffing tool can rely on):
 //   - Plain counters are per-iteration averages of simulator-side
@@ -38,6 +44,7 @@
 #include <vector>
 
 #include "bench_merge.hpp"
+#include "crypto/sha256.hpp"
 
 namespace zendoo::bench {
 
@@ -111,6 +118,8 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
     out << "{\n  \"area\": \"" << json_escape(area_) << "\",\n";
     out << "  \"hardware_concurrency\": "
         << std::thread::hardware_concurrency() << ",\n";
+    out << "  \"sha256_kernel\": \"" << crypto::sha256_kernel_name()
+        << "\",\n";
     out << "  \"benchmarks\": [";
     for (std::size_t i = 0; i < merged.size(); ++i) {
       const Record& r = merged[i];

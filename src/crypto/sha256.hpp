@@ -3,6 +3,16 @@
 // This is the collision-resistant hash (Def 2.1 of the paper) underlying
 // every authenticated structure in the system: transaction ids, block
 // hashes, Merkle trees, nullifiers and SNARK proof binding.
+//
+// Each 64-byte block goes through one of two compression kernels
+// (`crypto/sha256_kernel.hpp`), picked once per process from CPUID:
+//   - "x86-sha": the x86-64 SHA extensions (sha256rnds2, sha256msg1/2),
+//     on CPUs that report SHA, SSSE3 and SSE4.1. About six times faster
+//     per block.
+//   - "portable": plain C++ rounds, on every other host. It also stays as
+//     the reference the SHA kernel is tested against.
+// Both compute FIPS 180-4 exactly, so every digest, and with it every id,
+// root, proof and certificate, is the same whichever kernel ran.
 #pragma once
 
 #include <array>
@@ -12,6 +22,9 @@
 #include <string_view>
 
 namespace zendoo::crypto {
+
+/// The compression kernel this process uses: "x86-sha" or "portable".
+std::string_view sha256_kernel_name();
 
 /// Incremental SHA-256 hasher.
 ///

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "crypto/hash.hpp"
+#include "crypto/rng.hpp"
+#include "crypto/sha256_kernel.hpp"
 
 namespace zendoo::crypto {
 namespace {
@@ -57,16 +60,75 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   EXPECT_EQ(hex_of(two.finalize()), hex_of(d1));
 }
 
+// 'a' x n against Python's hashlib.sha256, at the lengths where padding
+// changes shape: the 0x80 byte and the 8-byte length fit behind the data up
+// to 55 bytes into a block, need a second block from 56 to 63, and 64
+// fills a block exactly. Each message is fed in one update, in two at
+// every split point, and byte by byte.
 TEST(Sha256, BoundaryLengths) {
-  // Exercise padding around the 55/56/63/64-byte boundaries.
-  for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u}) {
-    std::string msg(len, 'x');
-    Sha256 a;
-    a.update(msg);
-    Sha256 b;
-    b.update(msg.substr(0, len / 2));
-    b.update(msg.substr(len / 2));
-    EXPECT_EQ(hex_of(a.finalize()), hex_of(b.finalize())) << "len=" << len;
+  const std::pair<std::size_t, std::string_view> kCases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {1, "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb"},
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+      {1000,
+       "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3"},
+  };
+  for (const auto& [n, hex] : kCases) {
+    const std::string msg(n, 'a');
+    const std::string_view view(msg);
+    Sha256 one;
+    one.update(view);
+    EXPECT_EQ(hex_of(one.finalize()), hex) << "n=" << n << ", one update";
+    for (std::size_t split = 0; split <= n; ++split) {
+      Sha256 two;
+      two.update(view.substr(0, split));
+      two.update(view.substr(split));
+      EXPECT_EQ(hex_of(two.finalize()), hex)
+          << "n=" << n << ", split " << split;
+    }
+    Sha256 bytes;
+    for (std::size_t i = 0; i < n; ++i) bytes.update(view.substr(i, 1));
+    EXPECT_EQ(hex_of(bytes.finalize()), hex) << "n=" << n << ", byte by byte";
+  }
+}
+
+TEST(Sha256Kernel, SelectsShaExtensionsWhenPresent) {
+  EXPECT_EQ(sha256_kernel_name(),
+            sha256_kernel::x86_sha() != nullptr ? "x86-sha" : "portable");
+}
+
+// The SHA-extensions kernel against the portable rounds on seeded random
+// (state, block) pairs, led by all-zero and all-one states and blocks.
+TEST(Sha256Kernel, X86ShaMatchesPortable) {
+  const sha256_kernel::Transform sha = sha256_kernel::x86_sha();
+  if (sha == nullptr) {
+    GTEST_SKIP() << "no x86 SHA-extensions kernel on this host; only the "
+                    "portable kernel runs here";
+  }
+  Rng rng(256);
+  for (int pair = 0; pair < 10000; ++pair) {
+    std::array<std::uint32_t, 8> state{};
+    std::array<std::uint8_t, 64> block{};
+    if (pair < 4) {
+      state.fill((pair & 1) != 0 ? 0xffffffffu : 0u);
+      block.fill((pair & 2) != 0 ? 0xff : 0);
+    } else {
+      for (auto& word : state) {
+        word = static_cast<std::uint32_t>(rng.next_u64());
+      }
+      for (auto& byte : block) byte = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    std::array<std::uint32_t, 8> expected = state;
+    sha256_kernel::transform_portable(expected.data(), block.data());
+    std::array<std::uint32_t, 8> actual = state;
+    sha(actual.data(), block.data());
+    ASSERT_EQ(actual, expected) << "pair " << pair;
   }
 }
 
