@@ -140,9 +140,8 @@ void BM_HostilePeerOverhead(benchmark::State& state) {
       cluster.simnet.run_until_idle();
     }
     // Age and judge every orphan suspect so the ban cost is included.
-    cluster.simnet.run_until(
-        cluster.simnet.now() +
-        2 * cluster.nodes[4]->sync_config().dos.orphan_suspect_grace);
+    cluster.simnet.run_until(cluster.simnet.now() +
+                             2 * net::kOrphanSuspectGrace);
     cluster.simnet.run_until_idle();
     if (spammer) {
       // A post-judgment probe flood: with the ban in place these are

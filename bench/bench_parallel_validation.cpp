@@ -4,9 +4,9 @@
 // cache buys (the mempool-probe-then-connect flow).
 //
 // Thread argument T = total verifying threads (the control thread joins
-// the pool, so T maps to worker_threads = T-1); T=0 is the inline
-// (pre-pipeline) reference. The cache is disabled for the raw sweeps so
-// repeated iterations re-verify every check.
+// the pool, so T maps to worker_threads = T-1); T=1 runs the batch on the
+// caller alone. The cache is disabled for the raw sweeps so repeated
+// iterations re-verify every check.
 #include "bench_json.hpp"
 
 #include <map>
@@ -207,21 +207,15 @@ struct ProofHeavySetup {
   }
 };
 
+/// `threads` >= 1 total verifying threads: the caller plus threads-1
+/// workers.
 parallel::ValidationConfig config_for_threads(std::int64_t threads,
                                               std::size_t cache_capacity) {
-  parallel::ValidationConfig config;
-  config.cache_capacity = cache_capacity;
-  if (threads == 0) {
-    config.policy = parallel::CheckPolicy::kInline;
-  } else {
-    config.policy = parallel::CheckPolicy::kDeferred;
-    config.worker_threads = static_cast<unsigned>(threads - 1);
-  }
-  return config;
+  return {static_cast<unsigned>(threads - 1), cache_capacity};
 }
 
-/// Raw connect throughput: Args = {total verifying threads (0 = inline
-/// reference), signature checks per block}. Cache disabled.
+/// Raw connect throughput: Args = {total verifying threads, signature
+/// checks per block}. Cache disabled.
 void BM_ConnectProofHeavy(benchmark::State& state) {
   const auto& setup =
       ProofHeavySetup::with_sigs(static_cast<std::uint64_t>(state.range(1)));
@@ -251,7 +245,6 @@ void BM_ConnectProofHeavy(benchmark::State& state) {
 BENCHMARK(BM_ConnectProofHeavy)
     ->ArgNames({"threads", "sigs"})
     // Thread sweep at a fixed proof load.
-    ->Args({0, 24})
     ->Args({1, 24})
     ->Args({2, 24})
     ->Args({4, 24})

@@ -20,19 +20,9 @@ std::string check_genesis(const Block& block) {
 
 }  // namespace
 
-ChainState::ChainState(ChainParams params) : params_(params) {
-  if (params_.validation.policy == parallel::CheckPolicy::kDeferred) {
-    vctx_ = std::make_shared<parallel::ValidationContext>(params_.validation);
-  }
-}
-
-void ChainState::set_validation_config(
-    const parallel::ValidationConfig& config) {
-  params_.validation = config;
-  vctx_ = config.policy == parallel::CheckPolicy::kDeferred
-              ? std::make_shared<parallel::ValidationContext>(config)
-              : nullptr;
-}
+ChainState::ChainState(ChainParams params)
+    : params_(params),
+      vctx_(std::make_shared<parallel::ValidationContext>(params.validation)) {}
 
 const TxOutput* ChainState::find_utxo(const OutPoint& op) const {
   auto it = utxos_.find(op);
@@ -187,14 +177,11 @@ std::string ChainState::connect_block(const Block& block, BlockUndo* undo) {
   }
 
   CacheView view(*this);
-  std::string err;
-  if (vctx_ != nullptr) {
-    parallel::BatchProofVerifier batch(*vctx_);
-    err = apply_block(view, params_, block, &batch);
-  } else {
-    err = apply_block(view, params_, block);
+  parallel::BatchProofVerifier batch(*vctx_);
+  if (std::string err = apply_block(view, params_, block, batch);
+      !err.empty()) {
+    return err;
   }
-  if (!err.empty()) return err;
   if (undo != nullptr) *undo = build_undo(view, block);
   flush(view, block);
   return "";
@@ -227,14 +214,11 @@ std::string ChainState::dry_run(const Block& block) const {
   if (!genesis_connected_) return check_genesis(block);
   ReadOnlyView frozen(*this);
   CacheView view(frozen);
-  if (vctx_ != nullptr) {
-    // Shares the validation runtime with connect_block: proofs verified
-    // here are cached, so a later connect of the same block (the
-    // mempool-probe-then-connect flow) re-verifies nothing.
-    parallel::BatchProofVerifier batch(*vctx_);
-    return apply_block(view, params_, block, &batch);
-  }
-  return apply_block(view, params_, block);
+  // Shares the validation runtime with connect_block: proofs verified
+  // here are cached, so a later connect of the same block (the
+  // mempool-probe-then-connect flow) re-verifies nothing.
+  parallel::BatchProofVerifier batch(*vctx_);
+  return apply_block(view, params_, block, batch);
 }
 
 // ---------------------------------------------------------------------------

@@ -82,12 +82,8 @@ class ChainState final : public StateView {
   /// fingerprints are equal — the hook for differential reorg tests.
   [[nodiscard]] Digest state_fingerprint() const;
 
-  /// Replaces the validation-pipeline configuration (thread count,
-  /// defer/inline policy, cache size) and rebuilds the runtime. Copies
-  /// of a ChainState share one runtime until one of them calls this.
-  void set_validation_config(const parallel::ValidationConfig& config);
-  /// The validation runtime (null under CheckPolicy::kInline) — exposed
-  /// for stats introspection in tests and benchmarks.
+  /// The validation runtime (never null; copies of a ChainState share
+  /// it) — exposed for stats introspection in tests and benchmarks.
   [[nodiscard]] const std::shared_ptr<parallel::ValidationContext>&
   validation_context() const {
     return vctx_;
@@ -111,9 +107,9 @@ class ChainState final : public StateView {
   Digest tip_;
   bool genesis_connected_ = false;
   /// Batch-verification runtime (worker pool + verified-check cache),
-  /// created from params_.validation; null under CheckPolicy::kInline.
-  /// Shared across ChainState copies — the pool serializes batches and
-  /// the cache is content-addressed, so sharing is always sound.
+  /// created from params_.validation. Shared across ChainState copies —
+  /// the pool serializes batches and the cache is content-addressed, so
+  /// sharing is always sound.
   std::shared_ptr<parallel::ValidationContext> vctx_;
 };
 
@@ -195,12 +191,6 @@ class Blockchain {
   /// Active-chain block hash at `h`.
   [[nodiscard]] Digest hash_at_height(std::uint64_t h) const {
     return state_.hash_at_height(h);
-  }
-  /// Reconfigures the validation pipeline (see ChainState) for this
-  /// chain instance.
-  void set_validation_config(const parallel::ValidationConfig& config) {
-    params_.validation = config;
-    state_.set_validation_config(config);
   }
 
   // ---- Headers-first sync ----

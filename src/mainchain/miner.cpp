@@ -8,19 +8,18 @@ namespace zendoo::mainchain {
 
 namespace {
 
-/// Applies one mempool item (`apply(view, deferred)`, a per-item rule of
-/// view.hpp) into an overlay over `block_view`, verifies its deferred
+/// Applies one mempool item (`apply(view, batch)`, a per-item rule of
+/// view.hpp) into an overlay over `block_view`, verifies its batched
 /// checks, and flushes it into `block_view` iff both pass. An item that
 /// fails leaves `block_view` untouched; one that fails a stateful rule
 /// never has its checks verified.
 template <typename Apply>
-bool apply_item(CacheView& block_view, parallel::ValidationContext* vctx,
+bool apply_item(CacheView& block_view, parallel::ValidationContext& vctx,
                 Apply apply) {
   CacheView item_view(block_view);
-  std::optional<parallel::BatchProofVerifier> batch;
-  if (vctx != nullptr) batch.emplace(*vctx);
-  std::string err = apply(item_view, batch ? &*batch : nullptr);
-  if (err.empty() && batch) err = batch->run();
+  parallel::BatchProofVerifier batch(vctx);
+  std::string err = apply(item_view, batch);
+  if (err.empty()) err = batch.run();
   if (!err.empty()) return false;
   item_view.flush_into(block_view);
   return true;
@@ -31,7 +30,7 @@ bool apply_item(CacheView& block_view, parallel::ValidationContext* vctx,
 Block Miner::build_block(const Mempool& pool) const {
   const ChainState& state = chain_.state();
   const std::uint64_t height = state.height() + 1;
-  parallel::ValidationContext* vctx = state.validation_context().get();
+  parallel::ValidationContext& vctx = *state.validation_context();
 
   Block block;
   block.header.prev_hash = state.tip_hash();
@@ -45,7 +44,7 @@ Block Miner::build_block(const Mempool& pool) const {
   }
 
   for (const SidechainParams& sc : pool.sidechain_creations) {
-    if (apply_item(block_view, vctx, [&](WriteView& v, auto*) {
+    if (apply_item(block_view, vctx, [&](WriteView& v, auto&) {
           return apply_creation(v, sc, height);
         })) {
       block.sidechain_creations.push_back(sc);
@@ -54,8 +53,8 @@ Block Miner::build_block(const Mempool& pool) const {
   Amount fees = 0;
   for (const Transaction& tx : pool.transactions) {
     Amount tx_fee = 0;
-    if (apply_item(block_view, vctx, [&](WriteView& v, auto* deferred) {
-          return apply_transaction(v, tx, &tx_fee, deferred);
+    if (apply_item(block_view, vctx, [&](WriteView& v, auto& batch) {
+          return apply_transaction(v, tx, &tx_fee, batch);
         })) {
       block.transactions.push_back(tx);
       fees += tx_fee;
@@ -70,8 +69,8 @@ Block Miner::build_block(const Mempool& pool) const {
   for (const WithdrawalCertificate& cert : pool.certificates) {
     // One certificate per sidechain per block (§4.1.3).
     if (certified.contains(cert.ledger_id)) continue;
-    if (apply_item(block_view, vctx, [&](WriteView& v, auto* deferred) {
-          return apply_certificate(v, cert, height, Digest{}, deferred);
+    if (apply_item(block_view, vctx, [&](WriteView& v, auto& batch) {
+          return apply_certificate(v, cert, height, Digest{}, batch);
         })) {
       certified.insert(cert.ledger_id);
       block.certificates.push_back(cert);
@@ -81,15 +80,15 @@ Block Miner::build_block(const Mempool& pool) const {
     // Against a certificate in this block a BTR's statement reads this
     // block's hash, which commits to the BTR itself: it can never verify.
     if (certified.contains(btr.ledger_id)) continue;
-    if (apply_item(block_view, vctx, [&](WriteView& v, auto* deferred) {
-          return apply_btr(v, btr, deferred);
+    if (apply_item(block_view, vctx, [&](WriteView& v, auto& batch) {
+          return apply_btr(v, btr, batch);
         })) {
       block.btrs.push_back(btr);
     }
   }
   for (const CeasedSidechainWithdrawal& csw : pool.csws) {
-    if (apply_item(block_view, vctx, [&](WriteView& v, auto* deferred) {
-          return apply_csw(v, csw, deferred);
+    if (apply_item(block_view, vctx, [&](WriteView& v, auto& batch) {
+          return apply_csw(v, csw, batch);
         })) {
       block.csws.push_back(csw);
     }

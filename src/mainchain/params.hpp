@@ -81,12 +81,11 @@ struct ChainParams {
   /// tip catches up — repeated announcements advance a lagging node by
   /// up to one pool's worth of blocks each round.
   std::uint64_t orphan_height_window = 256;
-  /// Validation pipeline policy: whether expensive stateless checks
-  /// (SNARK proofs, signatures) verify inline or as a parallel batch,
-  /// how many worker threads, and the verified-check cache size. Flows
-  /// through ChainState into dry_run, connect_block, the miner and
-  /// gossip ingestion alike; the validation outcome is identical for
-  /// every setting.
+  /// Validation pipeline settings: how many worker threads verify the
+  /// batched SNARK and signature checks, and the verified-check cache
+  /// size. Flows through ChainState into dry_run, connect_block, the
+  /// miner and gossip ingestion alike; the validation outcome is
+  /// identical for every setting.
   parallel::ValidationConfig validation;
 };
 

@@ -125,7 +125,7 @@ std::string finalize_epochs(WriteView& view, std::uint64_t new_height) {
 
 std::string apply_transaction(WriteView& view, const Transaction& tx,
                               Amount* fees,
-                              parallel::BatchProofVerifier* deferred) {
+                              parallel::BatchProofVerifier& batch) {
   if (tx.is_coinbase) return "unexpected coinbase transaction";
   if (tx.inputs.empty()) return "transaction has no inputs";
 
@@ -141,12 +141,8 @@ std::string apply_transaction(WriteView& view, const Transaction& tx,
     if (crypto::address_of(in.pubkey) != utxo->addr) {
       return "input public key does not match output address";
     }
-    if (deferred != nullptr) {
-      deferred->add_signature(in.pubkey, signing, in.sig,
-                              "invalid input signature");
-    } else if (!crypto::verify_signature(in.pubkey, signing, in.sig)) {
-      return "invalid input signature";
-    }
+    batch.add_signature(in.pubkey, signing, in.sig,
+                        "invalid input signature");
     total_in += utxo->amount;
   }
 
@@ -196,7 +192,7 @@ std::string apply_certificate(WriteView& view,
                               const WithdrawalCertificate& cert,
                               std::uint64_t new_height,
                               const Digest& block_hash,
-                              parallel::BatchProofVerifier* deferred) {
+                              parallel::BatchProofVerifier& batch) {
   const SidechainStatus* sc_ro = view.find_sidechain(cert.ledger_id);
   if (sc_ro == nullptr) return "certificate for unknown sidechain";
   if (sc_ro->ceased) return "certificate for ceased sidechain";
@@ -224,15 +220,10 @@ std::string apply_certificate(WriteView& view,
   }
   // SNARK verification against the MC-enforced wcert_sysdata. The
   // statement is built here (it reads view state); only the verification
-  // itself is deferrable.
+  // itself is batched.
   auto [prev_last, last] = view.epoch_boundary_hashes(p, cert.epoch_id);
-  snark::Statement st = wcert_statement_for(cert, prev_last, last);
-  if (deferred != nullptr) {
-    deferred->add_snark(p.wcert_vk, std::move(st), cert.proof,
-                        "certificate SNARK proof invalid");
-  } else if (!snark::PredicateSnark::verify(p.wcert_vk, st, cert.proof)) {
-    return "certificate SNARK proof invalid";
-  }
+  batch.add_snark(p.wcert_vk, wcert_statement_for(cert, prev_last, last),
+                  cert.proof, "certificate SNARK proof invalid");
   SidechainStatus& sc = view.sidechain_for_update(cert.ledger_id);
   sc.pending_cert = cert;
   sc.pending_cert_epoch = cert.epoch_id;
@@ -245,7 +236,7 @@ std::string apply_certificate(WriteView& view,
 }
 
 std::string apply_btr(WriteView& view, const BtrRequest& btr,
-                      parallel::BatchProofVerifier* deferred) {
+                      parallel::BatchProofVerifier& batch) {
   const SidechainStatus* sc = view.find_sidechain(btr.ledger_id);
   if (sc == nullptr) return "BTR for unknown sidechain";
   if (sc->ceased) return "BTR for ceased sidechain (use CSW)";
@@ -256,16 +247,11 @@ std::string apply_btr(WriteView& view, const BtrRequest& btr,
   if (view.nullifier_used(btr.ledger_id, btr.nullifier)) {
     return "BTR nullifier already used";
   }
-  snark::Statement st =
-      btr_statement(sc->last_cert_block, btr.nullifier, btr.receiver,
-                    btr.amount, btr.proofdata_root());
-  if (deferred != nullptr) {
-    deferred->add_snark(sc->params.btr_vk, std::move(st), btr.proof,
-                        "BTR SNARK proof invalid");
-  } else if (!snark::PredicateSnark::verify(sc->params.btr_vk, st,
-                                            btr.proof)) {
-    return "BTR SNARK proof invalid";
-  }
+  batch.add_snark(sc->params.btr_vk,
+                  btr_statement(sc->last_cert_block, btr.nullifier,
+                                btr.receiver, btr.amount,
+                                btr.proofdata_root()),
+                  btr.proof, "BTR SNARK proof invalid");
   view.add_nullifier(btr.ledger_id, btr.nullifier);
   // No payment, no balance change: the BTR only obliges the sidechain
   // (§4.1.2.1 — "the BTR does not lead to a direct coin transfer").
@@ -273,7 +259,7 @@ std::string apply_btr(WriteView& view, const BtrRequest& btr,
 }
 
 std::string apply_csw(WriteView& view, const CeasedSidechainWithdrawal& csw,
-                      parallel::BatchProofVerifier* deferred) {
+                      parallel::BatchProofVerifier& batch) {
   const SidechainStatus* sc_ro = view.find_sidechain(csw.ledger_id);
   if (sc_ro == nullptr) return "CSW for unknown sidechain";
   if (!sc_ro->ceased) return "CSW for active sidechain";
@@ -287,16 +273,11 @@ std::string apply_csw(WriteView& view, const CeasedSidechainWithdrawal& csw,
   if (csw.amount > sc_ro->balance) {
     return "CSW withdraws more than sidechain balance";
   }
-  snark::Statement st =
-      csw_statement(sc_ro->last_cert_block, csw.nullifier, csw.receiver,
-                    csw.amount, csw.proofdata_root());
-  if (deferred != nullptr) {
-    deferred->add_snark(sc_ro->params.csw_vk, std::move(st), csw.proof,
-                        "CSW SNARK proof invalid");
-  } else if (!snark::PredicateSnark::verify(sc_ro->params.csw_vk, st,
-                                            csw.proof)) {
-    return "CSW SNARK proof invalid";
-  }
+  batch.add_snark(sc_ro->params.csw_vk,
+                  csw_statement(sc_ro->last_cert_block, csw.nullifier,
+                                csw.receiver, csw.amount,
+                                csw.proofdata_root()),
+                  csw.proof, "CSW SNARK proof invalid");
   view.add_nullifier(csw.ledger_id, csw.nullifier);
   view.sidechain_for_update(csw.ledger_id).balance -= csw.amount;
   // Direct payment (Def 4.6).
@@ -325,10 +306,10 @@ std::string apply_coinbase(WriteView& view, const Transaction& tx) {
 }
 
 /// Sequential stateful application: every rule that reads or writes the
-/// overlay. Expensive stateless checks go through `deferred` when set.
+/// overlay. Expensive stateless checks are collected into `batch`.
 std::string apply_block_stateful(WriteView& view, const ChainParams& params,
                                  const Block& block,
-                                 parallel::BatchProofVerifier* deferred) {
+                                 parallel::BatchProofVerifier& batch) {
   const Digest block_hash = block.hash();
 
   if (block.header.height != view.height() + 1) return "block height mismatch";
@@ -369,7 +350,7 @@ std::string apply_block_stateful(WriteView& view, const ChainParams& params,
   Amount fees = 0;
   for (std::size_t i = 1; i < block.transactions.size(); ++i) {
     if (std::string err =
-            apply_transaction(view, block.transactions[i], &fees, deferred);
+            apply_transaction(view, block.transactions[i], &fees, batch);
         !err.empty()) {
       return err;
     }
@@ -387,7 +368,7 @@ std::string apply_block_stateful(WriteView& view, const ChainParams& params,
   // 5. Withdrawal certificates.
   for (const WithdrawalCertificate& cert : block.certificates) {
     if (std::string err =
-            apply_certificate(view, cert, new_height, block_hash, deferred);
+            apply_certificate(view, cert, new_height, block_hash, batch);
         !err.empty()) {
       return err;
     }
@@ -395,14 +376,14 @@ std::string apply_block_stateful(WriteView& view, const ChainParams& params,
 
   // 6. Backward transfer requests.
   for (const BtrRequest& btr : block.btrs) {
-    if (std::string err = apply_btr(view, btr, deferred); !err.empty()) {
+    if (std::string err = apply_btr(view, btr, batch); !err.empty()) {
       return err;
     }
   }
 
   // 7. Ceased sidechain withdrawals.
   for (const CeasedSidechainWithdrawal& csw : block.csws) {
-    if (std::string err = apply_csw(view, csw, deferred); !err.empty()) {
+    if (std::string err = apply_csw(view, csw, batch); !err.empty()) {
       return err;
     }
   }
@@ -414,15 +395,13 @@ std::string apply_block_stateful(WriteView& view, const ChainParams& params,
 
 std::string apply_block(WriteView& view, const ChainParams& params,
                         const Block& block,
-                        parallel::BatchProofVerifier* deferred) {
-  std::string stateful = apply_block_stateful(view, params, block, deferred);
-  if (deferred != nullptr) {
-    // Every deferred check was collected before the stateful outcome was
-    // reached, so sequentially it would have run — and possibly failed —
-    // first. Its diagnostic therefore takes precedence; on any failure
-    // the caller discards the overlay.
-    if (std::string err = deferred->run(); !err.empty()) return err;
-  }
+                        parallel::BatchProofVerifier& batch) {
+  std::string stateful = apply_block_stateful(view, params, block, batch);
+  // Every collected check was met before the stateful outcome was
+  // reached, so sequentially it would have run — and possibly failed —
+  // first. Its diagnostic therefore takes precedence; on any failure the
+  // caller discards the overlay.
+  if (std::string err = batch.run(); !err.empty()) return err;
   return stateful;
 }
 

@@ -216,24 +216,23 @@ struct BlockUndo {
 /// diagnostic, in which case the overlay may hold partial writes and must
 /// be discarded.
 ///
-/// When `deferred` is non-null, expensive stateless checks (SNARK proofs,
-/// input signatures) are collected into it instead of verified at the
-/// point of encounter, and the whole batch is verified before this
-/// function returns "". The returned diagnostic is byte-identical to the
-/// inline path: a deferred check that fails is reported in favour of any
-/// stateful failure it sequentially preceded.
-[[nodiscard]] std::string apply_block(
-    WriteView& view, const ChainParams& params, const Block& block,
-    parallel::BatchProofVerifier* deferred = nullptr);
+/// Expensive stateless checks (SNARK proofs, input signatures) are
+/// collected into `batch` where they are met, and the whole batch is run
+/// before this function returns. A collected check that fails is reported
+/// in favour of any stateful failure it sequentially preceded, so the
+/// diagnostic is the one checking each item in turn would give.
+[[nodiscard]] std::string apply_block(WriteView& view,
+                                      const ChainParams& params,
+                                      const Block& block,
+                                      parallel::BatchProofVerifier& batch);
 
 // ---- Per-item rules ----
 //
 // The steps apply_block runs for a block at `new_height`, in its order.
 // Miner::build_block applies mempool items through them one at a time.
 // Each checks one item against `view` and, if it is valid, applies it; a
-// diagnostic means `view` may hold partial writes. With `deferred` set,
-// SNARK and signature checks are collected into it and the caller runs
-// it; with null they are verified inline.
+// diagnostic means `view` may hold partial writes. SNARK and signature
+// checks are collected into `batch`, and the caller runs it.
 
 /// Step 1: finalizes the certificate windows that close at `new_height`
 /// and ceases each sidechain whose window closed without one (Def 4.2).
@@ -246,20 +245,20 @@ struct BlockUndo {
 /// Step 3: a regular (non-coinbase) transaction; adds its fee to `*fees`.
 [[nodiscard]] std::string apply_transaction(
     WriteView& view, const Transaction& tx, Amount* fees,
-    parallel::BatchProofVerifier* deferred);
+    parallel::BatchProofVerifier& batch);
 /// Step 5 (step 4 is the coinbase): a withdrawal certificate carried by
 /// the block whose hash is `block_hash`, which becomes the sidechain's
 /// H(B_w).
 [[nodiscard]] std::string apply_certificate(
     WriteView& view, const WithdrawalCertificate& cert,
     std::uint64_t new_height, const Digest& block_hash,
-    parallel::BatchProofVerifier* deferred);
+    parallel::BatchProofVerifier& batch);
 /// Step 6: a backward transfer request.
 [[nodiscard]] std::string apply_btr(WriteView& view, const BtrRequest& btr,
-                                    parallel::BatchProofVerifier* deferred);
+                                    parallel::BatchProofVerifier& batch);
 /// Step 7: a ceased sidechain withdrawal.
 [[nodiscard]] std::string apply_csw(WriteView& view,
                                     const CeasedSidechainWithdrawal& csw,
-                                    parallel::BatchProofVerifier* deferred);
+                                    parallel::BatchProofVerifier& batch);
 
 }  // namespace zendoo::mainchain

@@ -11,8 +11,8 @@ using mainchain::HeaderCode;
 using mainchain::SubmitCode;
 
 NetNode::NetNode(SimNet& net, mainchain::ChainParams params,
-                 const crypto::KeyPair& miner_key, SyncConfig sync)
-    : net_(net), engine_(params, miner_key), sync_(sync) {
+                 const crypto::KeyPair& miner_key)
+    : net_(net), engine_(params, miner_key) {
   id_ = net_.add_node([this](NodeId from, const SimNet::PayloadPtr& p) {
     handle(from, p);
   });
@@ -203,26 +203,24 @@ std::size_t NetNode::banned_peer_count() const {
 void NetNode::note_malformed(NodeId from) {
   ++stats_.malformed;
   ++peer_ref(from).malformed;
-  misbehave(from, sync_.dos.malformed_penalty);
+  misbehave(from, kMalformedPenalty);
 }
 
 void NetNode::note_unsolicited_orphan(NodeId from,
                                       const crypto::Digest& hash) {
   ++peer_ref(from).unsolicited_orphans;
-  if (!sync_.dos.enabled) return;
-  if (orphan_suspects_.size() >= sync_.dos.max_orphan_suspects) {
+  if (orphan_suspects_.size() >= kMaxOrphanSuspects) {
     orphan_suspects_.pop_front();  // overflow: oldest goes unjudged
   }
   orphan_suspects_.push_back({hash, from, net_.now()});
   // The judgment must happen even if the network goes quiet afterwards.
-  arm_stall_timer(net_.now() + sync_.dos.orphan_suspect_grace);
+  arm_stall_timer(net_.now() + kOrphanSuspectGrace);
 }
 
 void NetNode::sweep_orphan_suspects() {
   const SimTime now = net_.now();
   while (!orphan_suspects_.empty() &&
-         now >= orphan_suspects_.front().seen_at +
-                    sync_.dos.orphan_suspect_grace) {
+         now >= orphan_suspects_.front().seen_at + kOrphanSuspectGrace) {
     const OrphanSuspect s = orphan_suspects_.front();
     orphan_suspects_.pop_front();
     // Old enough for header sync to have mapped its ancestry. A known
@@ -238,37 +236,34 @@ void NetNode::sweep_orphan_suspects() {
     }
     PeerState& st = peer_ref(s.peer);
     ++st.junk_orphans;
-    if (st.junk_orphans > sync_.dos.orphan_budget) {
-      misbehave(s.peer, sync_.dos.orphan_flood_penalty);
+    if (st.junk_orphans > kOrphanBudget) {
+      misbehave(s.peer, kOrphanFloodPenalty);
     }
   }
 }
 
 void NetNode::decay_score(PeerState& st) {
-  const SimTime half_life = sync_.dos.score_half_life;
-  if (half_life == 0) return;
-  const SimTime elapsed = net_.now() - st.score_decayed_at;
-  const SimTime steps = elapsed / half_life;
+  const SimTime steps = (net_.now() - st.score_decayed_at) / kScoreHalfLife;
   if (steps == 0) return;
   st.score = steps >= 31 ? 0 : st.score >> steps;
-  st.score_decayed_at += steps * half_life;
+  st.score_decayed_at += steps * kScoreHalfLife;
 }
 
 void NetNode::misbehave(NodeId peer, int penalty) {
-  if (!sync_.dos.enabled || penalty <= 0) return;
+  if (penalty <= 0) return;
   PeerState& st = peer_ref(peer);
   // Halve whatever is left of past offenses before charging the new one:
   // spaced-out honest noise decays away, a concentrated burst does not.
   decay_score(st);
   ++stats_.dos_events;
   st.score += penalty;
-  if (!st.banned && st.score >= sync_.dos.ban_threshold) ban_peer(peer);
+  if (!st.banned && st.score >= kBanThreshold) ban_peer(peer);
 }
 
 void NetNode::ban_peer(NodeId peer) {
   PeerState& st = peer_ref(peer);
   st.banned = true;
-  st.banned_until = net_.now() + sync_.dos.ban_duration;
+  st.banned_until = net_.now() + kBanDuration;
   ++st.bans;
   ++stats_.peers_banned;
   ZENDOO_OBS_EVENT(events_, kWarn, net_.now(), "net", "peer banned",
@@ -288,7 +283,7 @@ void NetNode::ban_peer(NodeId peer) {
   for (const auto& [to, hashes] : batches) {
     send_msg(to, MsgType::kGetData, mainchain::codec::encode_inv(hashes));
   }
-  if (!batches.empty()) arm_stall_timer(net_.now() + sync_.stall_timeout);
+  if (!batches.empty()) arm_stall_timer(net_.now() + kStallTimeout);
 
   // An active header round against the banned peer will never be
   // answered; move it to an eligible peer.
@@ -466,7 +461,7 @@ void NetNode::on_get_headers(NodeId from,
   ++stats_.get_headers_served;
   // Always answer, even with an empty batch: the reply is what clears
   // the requester's in-flight headers state.
-  auto headers = chain().headers_after(loc, sync_.headers_batch);
+  auto headers = chain().headers_after(loc, kHeadersBatch);
   send_msg(from, MsgType::kHeaders,
            mainchain::codec::encode_headers(headers));
 }
@@ -492,15 +487,15 @@ void NetNode::on_headers(NodeId from, std::span<const std::uint8_t> body) {
     // the free budget; only a flood past it scores.
     PeerState& st = peer_ref(from);
     ++st.unsolicited_headers;
-    if (st.unsolicited_headers > sync_.dos.unsolicited_headers_budget) {
-      misbehave(from, sync_.dos.unsolicited_headers_penalty);
+    if (st.unsolicited_headers > kUnsolicitedHeadersBudget) {
+      misbehave(from, kUnsolicitedHeadersPenalty);
     }
   }
-  if (headers.size() > sync_.headers_batch) {
+  if (headers.size() > kHeadersBatch) {
     // Bigger than anything we would request or serve — refuse the batch
     // outright instead of grinding PoW checks on hostile volume.
     ++peer_ref(from).oversized;
-    misbehave(from, sync_.dos.oversized_penalty);
+    misbehave(from, kOversizedPenalty);
     return;
   }
   stats_.headers_received += headers.size();
@@ -528,8 +523,8 @@ void NetNode::on_headers(NodeId from, std::span<const std::uint8_t> body) {
     // The no-progress cap is what stops a peer replaying the same batch
     // from spinning the walk forever.
     headers_no_progress_ = extended ? 0 : headers_no_progress_ + 1;
-    if (headers.size() >= sync_.headers_batch &&
-        headers_no_progress_ < sync_.max_stale_header_rounds &&
+    if (headers.size() >= kHeadersBatch &&
+        headers_no_progress_ < kMaxStaleHeaderRounds &&
         !peer_banned(from)) {
       request_headers(from);
     }
@@ -545,11 +540,11 @@ void NetNode::on_get_data(NodeId from, std::span<const std::uint8_t> body) {
     note_malformed(from);
     return;
   }
-  if (hashes.size() > sync_.dos.max_get_data) {
+  if (hashes.size() > kMaxGetData) {
     // Honest requesters never ask for more than their own in-flight cap;
     // a giant list is a bandwidth-amplification attempt. Serve none of it.
     ++peer_ref(from).oversized;
-    misbehave(from, sync_.dos.oversized_penalty);
+    misbehave(from, kOversizedPenalty);
     return;
   }
   std::vector<crypto::Digest> missing;
@@ -597,7 +592,7 @@ void NetNode::on_not_found(NodeId from, std::span<const std::uint8_t> body) {
   if (abusive) {
     // Once per message, not per hash: one fabricated list is one offense.
     ++peer_ref(from).notfound_abuse;
-    misbehave(from, sync_.dos.notfound_abuse_penalty);
+    misbehave(from, kNotFoundAbusePenalty);
   }
   for (const auto& [peer, batch] : batches) {
     send_msg(peer, MsgType::kGetData, mainchain::codec::encode_inv(batch));
@@ -622,7 +617,7 @@ void NetNode::request_headers(NodeId peer) {
   headers_sent_at_ = net_.now();
   send_msg(peer, MsgType::kGetHeaders,
            mainchain::codec::encode_locator(chain().locator()));
-  arm_stall_timer(headers_sent_at_ + sync_.stall_timeout);
+  arm_stall_timer(headers_sent_at_ + kStallTimeout);
 }
 
 std::optional<NodeId> NetNode::pick_download_peer(
@@ -633,7 +628,7 @@ std::optional<NodeId> NetNode::pick_download_peer(
     const NodeId cand = static_cast<NodeId>((next_dl_peer_ + i) % n);
     if (cand == id_ || peer_banned(cand)) continue;
     if (exclude && *exclude == cand && n > 2) continue;
-    if (peer_in_flight_[cand] >= sync_.per_peer_window) continue;
+    if (peer_in_flight_[cand] >= kPerPeerWindow) continue;
     next_dl_peer_ = static_cast<NodeId>((cand + 1) % n);
     return cand;
   }
@@ -658,13 +653,13 @@ std::optional<NodeId> NetNode::pick_header_peer(
 }
 
 void NetNode::schedule_downloads() {
-  if (in_flight_.size() >= sync_.max_in_flight) return;
+  if (in_flight_.size() >= kMaxInFlight) return;
   // The frontier includes bodies already in flight (they are still
   // missing), so ask for a full window's worth and skip those.
-  auto missing = chain().next_missing_bodies(sync_.max_in_flight);
+  auto missing = chain().next_missing_bodies(kMaxInFlight);
   std::map<NodeId, std::vector<crypto::Digest>> batches;
   for (const auto& hash : missing) {
-    if (in_flight_.size() >= sync_.max_in_flight) break;
+    if (in_flight_.size() >= kMaxInFlight) break;
     if (in_flight_.contains(hash)) continue;
     auto peer = pick_download_peer(std::nullopt);
     if (!peer) break;  // every window is full
@@ -675,7 +670,7 @@ void NetNode::schedule_downloads() {
   for (const auto& [peer, hashes] : batches) {
     send_msg(peer, MsgType::kGetData, mainchain::codec::encode_inv(hashes));
   }
-  if (!batches.empty()) arm_stall_timer(net_.now() + sync_.stall_timeout);
+  if (!batches.empty()) arm_stall_timer(net_.now() + kStallTimeout);
 }
 
 void NetNode::arm_stall_timer(SimTime deadline) {
@@ -695,14 +690,14 @@ void NetNode::on_stall_timer() {
   sweep_orphan_suspects();
   const SimTime now = net_.now();
   if (headers_request_active_ &&
-      now - headers_sent_at_ >= sync_.stall_timeout) {
+      now - headers_sent_at_ >= kStallTimeout) {
     // The header round died in flight. Retry against the next eligible
     // peer a bounded number of times; past that, the next announcement
     // restarts the sync (retrying into a blackout forever would keep the
     // event queue spinning).
     const NodeId stalled_peer = headers_peer_;
     headers_request_active_ = false;
-    if (++headers_attempts_ < sync_.max_request_attempts) {
+    if (++headers_attempts_ < kMaxRequestAttempts) {
       if (auto next = pick_header_peer(stalled_peer)) {
         ++stats_.stalled_rerequests;
         ZENDOO_OBS_EVENT(events_, kDebug, now, "net", "header round stalled",
@@ -715,7 +710,7 @@ void NetNode::on_stall_timer() {
 
   std::vector<crypto::Digest> stalled;
   for (const auto& [hash, inf] : in_flight_) {
-    if (now - inf.sent_at >= sync_.stall_timeout) stalled.push_back(hash);
+    if (now - inf.sent_at >= kStallTimeout) stalled.push_back(hash);
   }
   std::sort(stalled.begin(), stalled.end());  // deterministic re-issue order
   std::map<NodeId, std::vector<crypto::Digest>> batches;
@@ -732,7 +727,7 @@ void NetNode::on_stall_timer() {
   // them. Re-pump the frontier a bounded number of times; any progress
   // resets the budget, so only a true blackout runs it out.
   if (in_flight_.empty() && !headers_request_active_ &&
-      frontier_attempts_ < sync_.max_request_attempts &&
+      frontier_attempts_ < kMaxRequestAttempts &&
       !chain().next_missing_bodies(1).empty()) {
     ++frontier_attempts_;
     schedule_downloads();
@@ -742,15 +737,15 @@ void NetNode::on_stall_timer() {
   // from now, which would let a young request wait up to two timeouts.
   std::optional<SimTime> next;
   if (headers_request_active_) {
-    next = headers_sent_at_ + sync_.stall_timeout;
+    next = headers_sent_at_ + kStallTimeout;
   }
   for (const auto& [hash, inf] : in_flight_) {
-    const SimTime deadline = inf.sent_at + sync_.stall_timeout;
+    const SimTime deadline = inf.sent_at + kStallTimeout;
     if (!next || deadline < *next) next = deadline;
   }
   if (!orphan_suspects_.empty()) {
     const SimTime deadline = orphan_suspects_.front().seen_at +
-                             sync_.dos.orphan_suspect_grace;
+                             kOrphanSuspectGrace;
     if (!next || deadline < *next) next = deadline;
   }
   if (next) arm_stall_timer(*next);
@@ -761,7 +756,7 @@ void NetNode::reassign_download(
     std::map<NodeId, std::vector<crypto::Digest>>& batches) {
   InFlight& inf = in_flight_.at(hash);
   if (inf.peer < peer_in_flight_.size()) --peer_in_flight_[inf.peer];
-  auto peer = inf.attempts < sync_.max_request_attempts
+  auto peer = inf.attempts < kMaxRequestAttempts
                   ? pick_download_peer(from)
                   : std::nullopt;
   if (!peer) {

@@ -21,6 +21,7 @@
 #include <unordered_map>
 
 #include "core/engine.hpp"
+#include "mainchain/codec.hpp"
 #include "net/sim.hpp"
 #include "obs/trace.hpp"
 
@@ -43,63 +44,60 @@ enum class MsgType : std::uint8_t {
 /// One past the highest wire tag — sizes the per-type stat arrays.
 inline constexpr std::size_t kMsgTypeCount = 7;
 
-/// Per-peer misbehavior scoring knobs (zen's DoS machinery shape: every
-/// offense adds to a per-peer score; crossing ban_threshold disconnects
-/// the peer for ban_duration ticks). Penalties are calibrated so a
-/// protocol violation no honest peer can produce (garbage payloads,
-/// PoW-invalid headers, oversized batches) bans within a handful of
-/// events, while noisy-but-honest traffic (gossip duplicates, late
-/// replies to abandoned rounds, orphans during races) rides on free
-/// budgets and never scores.
-struct DosConfig {
-  bool enabled = true;
-  /// Score at which the peer is disconnected and banned.
-  int ban_threshold = 100;
-  /// Ban length in sim ticks; chosen to outlast any one sync scenario.
-  SimTime ban_duration = 100'000;
-  /// Undecodable payload or unknown message tag.
-  int malformed_penalty = 20;
-  /// A batch larger than anything we would request or serve
-  /// (kHeaders above headers_batch, kGetData above max_get_data).
-  int oversized_penalty = 100;
-  /// Per confirmed-junk orphan beyond orphan_budget — a flood of
-  /// parent-less blocks aimed at churning the orphan pool. An unsolicited
-  /// orphan is never charged on arrival (a deep post-partition burst
-  /// delivers hundreds of honest ones); it goes into a bounded suspect
-  /// table and is charged only retrospectively, once it is old enough
-  /// for header sync to have mapped its ancestry and neither the header
-  /// tree nor the orphan pool knows it — the signature of fabricated
-  /// ancestry.
-  int orphan_flood_penalty = 5;
-  /// Per unsolicited kHeaders message beyond unsolicited_headers_budget.
-  int unsolicited_headers_penalty = 5;
-  /// A kNotFound naming blocks we never requested from anyone.
-  int notfound_abuse_penalty = 20;
-  /// Confirmed-junk orphans tolerated per peer before scoring starts:
-  /// an honest orphan can die unconnected now and then (a loser-branch
-  /// tip evicted by pool pressure), a flood of them cannot.
-  std::uint32_t orphan_budget = 8;
-  /// Ticks an unsolicited orphan sits in the suspect table before being
-  /// judged — long enough for a deep catch-up to download and connect
-  /// the honest ones (a couple of stall timeouts).
-  SimTime orphan_suspect_grace = 64;
-  /// Suspect-table size bound; overflow drops the oldest entries
-  /// unjudged (benefit of the doubt) so memory stays fixed.
-  std::size_t max_orphan_suspects = 256;
-  /// Unsolicited kHeaders messages tolerated per peer (late replies to
-  /// rounds the stall timer abandoned are honest).
-  std::uint32_t unsolicited_headers_budget = 8;
-  /// kGetData lists above this length are refused and scored — honest
-  /// requesters never ask for more than their own in-flight cap.
-  std::size_t max_get_data = 256;
-  /// Misbehavior scores halve every this many ticks (zen's periodic
-  /// decay), applied lazily when a peer is next scored — a long-lived
-  /// honest-but-flaky peer stops ratcheting toward a ban once its
-  /// offenses spread out. Deliberately much longer than any one attack
-  /// burst (which spans tens of ticks), so concentrated abuse still
-  /// bans at full speed. 0 disables decay.
-  SimTime score_half_life = 16'384;
-};
+// ---- Per-peer misbehavior scoring ----
+//
+// zen's DoS machinery shape: every offense adds to a per-peer score;
+// crossing kBanThreshold disconnects the peer for kBanDuration ticks.
+// Penalties are calibrated so a protocol violation no honest peer can
+// produce (garbage payloads, PoW-invalid headers, oversized batches) bans
+// within a handful of events, while noisy-but-honest traffic (gossip
+// duplicates, late replies to abandoned rounds, orphans during races)
+// rides on free budgets and never scores.
+
+/// Score at which the peer is disconnected and banned.
+inline constexpr int kBanThreshold = 100;
+/// Ban length in sim ticks; chosen to outlast any one sync scenario.
+inline constexpr SimTime kBanDuration = 100'000;
+/// Undecodable payload or unknown message tag.
+inline constexpr int kMalformedPenalty = 20;
+/// A batch larger than anything we would request or serve
+/// (kHeaders above kHeadersBatch, kGetData above kMaxGetData).
+inline constexpr int kOversizedPenalty = 100;
+/// Per confirmed-junk orphan beyond kOrphanBudget — a flood of
+/// parent-less blocks aimed at churning the orphan pool. An unsolicited
+/// orphan is never charged on arrival (a deep post-partition burst
+/// delivers hundreds of honest ones); it goes into a bounded suspect
+/// table and is charged only retrospectively, once it is old enough for
+/// header sync to have mapped its ancestry and neither the header tree
+/// nor the orphan pool knows it — the signature of fabricated ancestry.
+inline constexpr int kOrphanFloodPenalty = 5;
+/// Per unsolicited kHeaders message beyond kUnsolicitedHeadersBudget.
+inline constexpr int kUnsolicitedHeadersPenalty = 5;
+/// A kNotFound naming blocks we never requested from anyone.
+inline constexpr int kNotFoundAbusePenalty = 20;
+/// Confirmed-junk orphans tolerated per peer before scoring starts: an
+/// honest orphan can die unconnected now and then (a loser-branch tip
+/// evicted by pool pressure), a flood of them cannot.
+inline constexpr std::uint32_t kOrphanBudget = 8;
+/// Ticks an unsolicited orphan sits in the suspect table before being
+/// judged — long enough for a deep catch-up to download and connect the
+/// honest ones (a couple of stall timeouts).
+inline constexpr SimTime kOrphanSuspectGrace = 64;
+/// Suspect-table size bound; overflow drops the oldest entries unjudged
+/// (benefit of the doubt) so memory stays fixed.
+inline constexpr std::size_t kMaxOrphanSuspects = 256;
+/// Unsolicited kHeaders messages tolerated per peer (late replies to
+/// rounds the stall timer abandoned are honest).
+inline constexpr std::uint32_t kUnsolicitedHeadersBudget = 8;
+/// kGetData lists above this length are refused and scored — honest
+/// requesters never ask for more than their own in-flight cap.
+inline constexpr std::size_t kMaxGetData = 256;
+/// Misbehavior scores halve every this many ticks (zen's periodic
+/// decay), applied lazily when a peer is next scored — a long-lived
+/// honest-but-flaky peer stops ratcheting toward a ban once its offenses
+/// spread out. Deliberately much longer than any one attack burst (which
+/// spans tens of ticks), so concentrated abuse still bans at full speed.
+inline constexpr SimTime kScoreHalfLife = 16'384;
 
 /// Per-peer accounting: misbehavior score, ban state, and the offense
 /// counters that feed it (the per-peer split of Stats::malformed /
@@ -123,37 +121,39 @@ struct PeerState {
   std::array<std::uint64_t, kMsgTypeCount> received{};
 };
 
-/// Headers-first pipeline knobs, for both requesting and serving.
-struct SyncConfig {
-  /// Headers per kHeaders message (served and requested); a full batch
-  /// tells the requester more are available.
-  std::size_t headers_batch = 128;
-  /// Max block bodies in flight to a single peer.
-  std::size_t per_peer_window = 16;
-  /// Max block bodies in flight across all peers. Keep at or below
-  /// ChainParams::max_orphan_blocks: out-of-order arrivals buffer in the
-  /// orphan pool, and a window wider than the pool would evict bodies
-  /// faster than they connect.
-  std::size_t max_in_flight = 64;
-  /// Ticks without an answer before a request is re-issued elsewhere.
-  SimTime stall_timeout = 32;
-  /// Attempts per block (initial + re-requests) before giving up; the
-  /// next announcement or headers arrival re-arms the download, so this
-  /// bounds retry storms during blackouts without wedging sync.
-  std::uint32_t max_request_attempts = 4;
-  /// Consecutive solicited full header batches that connect nothing new
-  /// before the locator walk stops pipelining (an honest re-request race
-  /// produces one; a peer replaying the same batch forever would
-  /// otherwise keep the walk spinning).
-  std::uint32_t max_stale_header_rounds = 3;
-  /// Misbehavior scoring and banning.
-  DosConfig dos;
-};
+// ---- Headers-first pipeline limits, for both requesting and serving ----
+
+/// Headers per kHeaders message (served and requested); a full batch
+/// tells the requester more are available.
+inline constexpr std::size_t kHeadersBatch = 128;
+/// Max block bodies in flight to a single peer.
+inline constexpr std::size_t kPerPeerWindow = 16;
+/// Max block bodies in flight across all peers. Keep at or below
+/// ChainParams::max_orphan_blocks: out-of-order arrivals buffer in the
+/// orphan pool, and a window wider than the pool would evict bodies
+/// faster than they connect.
+inline constexpr std::size_t kMaxInFlight = 64;
+/// Ticks without an answer before a request is re-issued elsewhere.
+inline constexpr SimTime kStallTimeout = 32;
+/// Attempts per block (initial + re-requests) before giving up; the next
+/// announcement or headers arrival re-arms the download, so this bounds
+/// retry storms during blackouts without wedging sync.
+inline constexpr std::uint32_t kMaxRequestAttempts = 4;
+/// Consecutive solicited full header batches that connect nothing new
+/// before the locator walk stops pipelining (an honest re-request race
+/// produces one; a peer replaying the same batch forever would otherwise
+/// keep the walk spinning).
+inline constexpr std::uint32_t kMaxStaleHeaderRounds = 3;
+
+// An honest kGetData never scores as oversized...
+static_assert(kMaxInFlight <= kMaxGetData);
+// ...and a batch we serve decodes at the peer.
+static_assert(kHeadersBatch <= mainchain::codec::kMaxHeadersPerMsg);
 
 class NetNode {
  public:
   NetNode(SimNet& net, mainchain::ChainParams params,
-          const crypto::KeyPair& miner_key, SyncConfig sync = {});
+          const crypto::KeyPair& miner_key);
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] core::Engine& engine() { return engine_; }
@@ -164,7 +164,6 @@ class NetNode {
   }
   [[nodiscard]] crypto::Digest tip() const { return engine_.mc().tip_hash(); }
   [[nodiscard]] std::uint64_t height() const { return engine_.mc().height(); }
-  [[nodiscard]] const SyncConfig& sync_config() const { return sync_; }
 
   /// Mine one block from the local mempool on the local tip and gossip
   /// it to every peer.
@@ -287,7 +286,7 @@ class NetNode {
   /// option. nullopt when no eligible peer exists.
   std::optional<NodeId> pick_header_peer(std::optional<NodeId> exclude);
   /// Guarantees a timer fires at or before `deadline` (the earliest
-  /// pending request deadline — not simply now + stall_timeout, so a
+  /// pending request deadline — not simply now + kStallTimeout, so a
   /// round armed while an earlier round's timer is pending cannot wait
   /// out two timeouts).
   void arm_stall_timer(SimTime deadline);
@@ -296,8 +295,8 @@ class NetNode {
 
   /// Mutable per-peer state, growing the table on first contact.
   PeerState& peer_ref(NodeId peer);
-  /// Applies the lazy periodic score halving (DosConfig::score_half_life)
-  /// to `st` up to the current tick.
+  /// Applies the lazy periodic score halving (kScoreHalfLife) to `st` up
+  /// to the current tick.
   void decay_score(PeerState& st);
   /// Books an undecodable payload / unknown tag against `from`.
   void note_malformed(NodeId from);
@@ -307,8 +306,8 @@ class NetNode {
   /// Judges the oldest few suspects: connected or pool-resident ones are
   /// innocent, vanished ones are junk and charge their deliverer.
   void sweep_orphan_suspects();
-  /// Adds `penalty` to the peer's score; crossing DosConfig::ban_threshold
-  /// bans it. No-op when scoring is disabled or the penalty is zero.
+  /// Adds `penalty` to the peer's score; crossing kBanThreshold bans it.
+  /// No-op when the penalty is zero.
   void misbehave(NodeId peer, int penalty);
   /// Disconnects `peer`: tells the SimNet to refuse the pair's traffic,
   /// reassigns every download owned by the peer, and moves an active
@@ -345,7 +344,6 @@ class NetNode {
   SimNet& net_;
   core::Engine engine_;
   NodeId id_;
-  SyncConfig sync_;
   Stats stats_;
   /// Exposes stats_ (stable addresses: NetNode is pinned by net_'s
   /// callbacks and by this registry member — never copied or moved).
@@ -390,7 +388,7 @@ class NetNode {
     SimTime seen_at = 0;
   };
   /// Unsolicited parent-less deliveries awaiting retrospective judgment,
-  /// oldest first; bounded by DosConfig::max_orphan_suspects.
+  /// oldest first; bounded by kMaxOrphanSuspects.
   std::deque<OrphanSuspect> orphan_suspects_;
   NodeId next_dl_peer_ = 0;  ///< round-robin cursor
   bool headers_request_active_ = false;
@@ -398,13 +396,13 @@ class NetNode {
   SimTime headers_sent_at_ = 0;
   std::uint32_t headers_attempts_ = 0;
   /// Consecutive solicited full batches that connected nothing new; stops
-  /// the locator-walk pipeline at SyncConfig::max_stale_header_rounds.
+  /// the locator-walk pipeline at kMaxStaleHeaderRounds.
   std::uint32_t headers_no_progress_ = 0;
   /// Timer-driven schedule_downloads() restarts since the last sync
   /// progress. The frontier can outlive every download slot (each slot
-  /// gives up after max_request_attempts while the serving peers are
+  /// gives up after kMaxRequestAttempts while the serving peers are
   /// themselves still catching up), so the stall timer re-pumps it —
-  /// bounded by max_request_attempts so a blacked-out node still
+  /// bounded by kMaxRequestAttempts so a blacked-out node still
   /// quiesces, and reset whenever a block connects or headers extend.
   std::uint32_t frontier_attempts_ = 0;
   bool stall_timer_armed_ = false;

@@ -22,12 +22,12 @@ namespace zendoo::net {
 
 /// One SimNet plus `n` NetNodes with deterministic per-index miner keys —
 /// the standard fixture for net tests and benches. Every node shares the
-/// same chain parameters and sync configuration.
+/// same chain parameters.
 struct NodeCluster {
   SimNet net;
   std::vector<std::unique_ptr<NetNode>> nodes;
 
-  NodeCluster(std::uint64_t seed, std::size_t n, SyncConfig sync = {},
+  NodeCluster(std::uint64_t seed, std::size_t n,
               mainchain::ChainParams params = {})
       : net(seed) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -35,7 +35,7 @@ struct NodeCluster {
                                                 .write_str("cluster-miner")
                                                 .write_u64(i)
                                                 .finalize());
-      nodes.push_back(std::make_unique<NetNode>(net, params, key, sync));
+      nodes.push_back(std::make_unique<NetNode>(net, params, key));
     }
   }
   NetNode& operator[](std::size_t i) { return *nodes[i]; }

@@ -120,17 +120,6 @@ std::string BatchProofVerifier::run() {
   ctx_.count_executed(to_run.size());
   ctx_.record_batch_size(to_run.size());
 
-  if (ctx_.config().worker_threads == 0) {
-    // Sequential batch on the calling thread — same semantics, no pool.
-    for (std::size_t j = 0; j < to_run.size(); ++j) {
-      Entry& e = pending_[to_run[j]];
-      e.check.latency_hist = ctx_.latency_hist(e.check.kind);
-      if (!e.check()) return e.error;
-      ctx_.cache_insert(keys[j]);
-    }
-    return "";
-  }
-
   std::vector<ProofCheck> batch;
   batch.reserve(to_run.size());
   for (std::size_t idx : to_run) {

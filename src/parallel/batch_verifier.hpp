@@ -3,10 +3,10 @@
 // During overlay application the mainchain encounters two kinds of
 // expensive stateless checks: SNARK proof verification (withdrawal
 // certificates, BTRs, CSWs) and transaction signature verification.
-// Under CheckPolicy::kDeferred these are collected into a
-// BatchProofVerifier instead of being verified inline, and the whole
-// batch is verified — across a CheckQueue worker pool — before the block
-// is allowed to commit (the asyncproofverifier pattern of the reference
+// These are collected into a BatchProofVerifier where they are met, and
+// the whole batch is verified through a CheckQueue — across its worker
+// pool, or on the caller when it has none — before the block is allowed
+// to commit (the asyncproofverifier pattern of the reference
 // implementations).
 //
 // ValidationContext is the per-chain runtime: it owns the lazily started
@@ -83,10 +83,8 @@ class ValidationContext {
  public:
   explicit ValidationContext(ValidationConfig config);
 
-  [[nodiscard]] const ValidationConfig& config() const { return config_; }
-
-  /// The worker pool, started on first use (so configurations that never
-  /// validate in parallel spawn no threads).
+  /// The worker pool, started on first use (so a runtime that never
+  /// verifies a batch spawns no threads).
   CheckQueue<ProofCheck>& queue();
 
   /// True when `key` is a known-verified check (counts a cache hit).
@@ -152,9 +150,10 @@ class BatchProofVerifier {
 
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
 
-  /// Verifies every collected check (cache-filtered, across the worker
-  /// pool when configured) and returns "" or the diagnostic of the check
-  /// that would have failed first sequentially.
+  /// Verifies every collected check (cache-filtered, through the
+  /// CheckQueue) and returns "" or the diagnostic of the check that would
+  /// have failed first sequentially. Checks are cached only when the
+  /// whole batch passes.
   [[nodiscard]] std::string run();
 
  private:

@@ -1,27 +1,18 @@
-// Validation-pipeline policy knobs, embedded in ChainParams so every
+// Validation-pipeline settings, embedded in ChainParams so every
 // consumer of a chain (miner, gossip ingestion, dry-run probes) follows
 // the same configuration. Kept dependency-free: the runtime machinery
 // (worker pool, proof cache) lives in parallel/batch_verifier.hpp.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace zendoo::parallel {
 
-/// Where expensive stateless checks (SNARK proofs, signatures) run.
-enum class CheckPolicy : std::uint8_t {
-  /// Verify at the point of encounter on the validation thread — the
-  /// legacy sequential path, kept as the differential-testing reference.
-  kInline,
-  /// Collect checks during overlay application and verify them as one
-  /// batch (across the worker pool when worker_threads > 0) before the
-  /// block commits. Outcome is byte-identical to kInline.
-  kDeferred,
-};
-
+/// Sizes the runtime that verifies a block's expensive stateless checks
+/// (SNARK proofs, signatures). Those checks are always collected during
+/// overlay application and verified as one batch before the block
+/// commits; the outcome is identical for every setting.
 struct ValidationConfig {
-  CheckPolicy policy = CheckPolicy::kDeferred;
   /// Extra worker threads for batch verification; the control thread
   /// always joins in, so 0 means "run the batch on the caller".
   unsigned worker_threads = 0;

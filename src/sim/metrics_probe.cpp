@@ -58,9 +58,8 @@ void MetricsProbe::sample_now() {
   for (net::NetNode* node : nodes_) {
     fold_registry(node->registry(), accum);
     fold_registry(node->chain().registry(), accum);
-    if (const auto& vctx = node->chain().state().validation_context()) {
-      fold_registry(vctx->registry(), accum);
-    }
+    fold_registry(node->chain().state().validation_context()->registry(),
+                  accum);
   }
   Sample s;
   s.time = net_.now();

@@ -36,8 +36,7 @@ std::size_t announce_until_synced(NodeCluster& c, std::size_t target,
 /// Runs long enough for every filed orphan suspect to age past the
 /// grace period and be judged by the sweep.
 void age_orphan_suspects(NodeCluster& c) {
-  c.net.run_until(c.net.now() +
-                  2 * c[0].sync_config().dos.orphan_suspect_grace);
+  c.net.run_until(c.net.now() + 2 * kOrphanSuspectGrace);
   c.net.run_until_idle();
 }
 
@@ -74,8 +73,7 @@ TEST_P(AdversarialSweep, OrphanSpamFloodIsBannedAndHonestNodesConverge) {
     // The flood was judged retrospectively and the spammer banned.
     EXPECT_TRUE(c[i].peer_banned(spammer.id()))
         << "node " << i << " seed " << seed;
-    EXPECT_GT(c[i].peer_state(spammer.id()).junk_orphans,
-              c[i].sync_config().dos.orphan_budget);
+    EXPECT_GT(c[i].peer_state(spammer.id()).junk_orphans, kOrphanBudget);
     // Resource ceilings held under the flood.
     EXPECT_LE(c[i].chain().orphan_count(), cap);
     EXPECT_EQ(c[i].blocks_in_flight(), 0u);

@@ -175,8 +175,7 @@ Digest adversarial_trace(std::uint64_t seed, net::TraceMode mode,
     c.net.run_until_idle();
   }
   EXPECT_EQ(c[3].tip(), c[0].tip()) << "seed " << seed;
-  c.net.run_until(c.net.now() +
-                  2 * c[3].sync_config().dos.orphan_suspect_grace);
+  c.net.run_until(c.net.now() + 2 * net::kOrphanSuspectGrace);
   c.net.run_until_idle();
   if (trace_out != nullptr) *trace_out = c.net.trace();
   if (sums_out != nullptr) {

@@ -31,14 +31,13 @@ struct DosRig {
   NetNode victim;
   NodeId attacker;
 
-  explicit DosRig(std::uint64_t seed, SyncConfig sync = {})
+  explicit DosRig(std::uint64_t seed)
       : net(seed),
         victim(net, mainchain::ChainParams{},
                crypto::KeyPair::from_seed(crypto::Hasher(Domain::kGeneric)
                                               .write_str("dos-victim")
                                               .write_u64(seed)
-                                              .finalize()),
-               sync),
+                                              .finalize())),
         attacker(net.add_node([](NodeId, const SimNet::PayloadPtr&) {})) {}
 
   void inject(MsgType type, const std::vector<std::uint8_t>& body) {
@@ -49,9 +48,8 @@ struct DosRig {
 
 TEST(Dos, MalformedPayloadsBanAfterThreshold) {
   DosRig rig(11);
-  const int per = rig.victim.sync_config().dos.malformed_penalty;
-  const int threshold = rig.victim.sync_config().dos.ban_threshold;
-  const int needed = (threshold + per - 1) / per;  // 5 at the defaults
+  const int needed =
+      (kBanThreshold + kMalformedPenalty - 1) / kMalformedPenalty;  // 5
 
   for (int i = 0; i < needed - 1; ++i) {
     rig.inject(MsgType::kBlock, {0xde, 0xad});
@@ -63,7 +61,7 @@ TEST(Dos, MalformedPayloadsBanAfterThreshold) {
   EXPECT_EQ(rig.victim.banned_peer_count(), 1u);
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).malformed,
             static_cast<std::uint64_t>(needed));
-  EXPECT_GE(rig.victim.peer_state(rig.attacker).score, threshold);
+  EXPECT_GE(rig.victim.peer_state(rig.attacker).score, kBanThreshold);
   EXPECT_EQ(rig.victim.stats().peers_banned, 1u);
 
   // The ban is enforced below the node: further traffic is refused at
@@ -85,15 +83,14 @@ TEST(Dos, UnknownMessageTagScoresAsMalformed) {
   rig.net.run_until_idle();
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).malformed, 2u);
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).score,
-            2 * rig.victim.sync_config().dos.malformed_penalty);
+            2 * kMalformedPenalty);
 }
 
 TEST(Dos, OversizedHeaderBatchBansInstantly) {
   DosRig rig(17);
-  const std::size_t batch = rig.victim.sync_config().headers_batch;
   rig.inject(MsgType::kHeaders,
              mainchain::codec::encode_headers(
-                 std::vector<mainchain::BlockHeader>(batch + 1)));
+                 std::vector<mainchain::BlockHeader>(kHeadersBatch + 1)));
   EXPECT_TRUE(rig.victim.peer_banned(rig.attacker));
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).oversized, 1u);
   // The refusal happened before any PoW work: no header was examined.
@@ -102,10 +99,9 @@ TEST(Dos, OversizedHeaderBatchBansInstantly) {
 
 TEST(Dos, OversizedGetDataServedNothingAndBans) {
   DosRig rig(19);
-  const std::size_t cap = rig.victim.sync_config().dos.max_get_data;
   rig.inject(MsgType::kGetData,
              mainchain::codec::encode_inv(
-                 std::vector<crypto::Digest>(cap + 1)));
+                 std::vector<crypto::Digest>(kMaxGetData + 1)));
   EXPECT_TRUE(rig.victim.peer_banned(rig.attacker));
   EXPECT_EQ(rig.victim.stats().get_data_served, 0u);
   EXPECT_EQ(rig.victim.stats().sent(MsgType::kNotFound), 0u);
@@ -113,9 +109,8 @@ TEST(Dos, OversizedGetDataServedNothingAndBans) {
 
 TEST(Dos, FabricatedNotFoundScoresPerMessage) {
   DosRig rig(23);
-  const auto& dos = rig.victim.sync_config().dos;
-  const int needed = (dos.ban_threshold + dos.notfound_abuse_penalty - 1) /
-                     dos.notfound_abuse_penalty;
+  const int needed = (kBanThreshold + kNotFoundAbusePenalty - 1) /
+                     kNotFoundAbusePenalty;
   for (int i = 0; i < needed; ++i) {
     // Several fabricated hashes per message: one message = one offense.
     std::vector<crypto::Digest> fake;
@@ -134,10 +129,9 @@ TEST(Dos, FabricatedNotFoundScoresPerMessage) {
 
 TEST(Dos, UnsolicitedHeadersRideFreeBudgetThenScore) {
   DosRig rig(29);
-  const auto& dos = rig.victim.sync_config().dos;
   const auto empty = mainchain::codec::encode_headers({});
 
-  for (std::uint32_t i = 0; i < dos.unsolicited_headers_budget; ++i) {
+  for (std::uint32_t i = 0; i < kUnsolicitedHeadersBudget; ++i) {
     rig.inject(MsgType::kHeaders, empty);
   }
   // Late replies to abandoned rounds are honest: no score yet.
@@ -145,26 +139,25 @@ TEST(Dos, UnsolicitedHeadersRideFreeBudgetThenScore) {
   EXPECT_FALSE(rig.victim.peer_banned(rig.attacker));
 
   const int past_budget =
-      (dos.ban_threshold + dos.unsolicited_headers_penalty - 1) /
-      dos.unsolicited_headers_penalty;
+      (kBanThreshold + kUnsolicitedHeadersPenalty - 1) /
+      kUnsolicitedHeadersPenalty;
   for (int i = 0; i < past_budget; ++i) {
     rig.inject(MsgType::kHeaders, empty);
   }
   EXPECT_TRUE(rig.victim.peer_banned(rig.attacker));
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).unsolicited_headers,
-            dos.unsolicited_headers_budget +
+            kUnsolicitedHeadersBudget +
                 static_cast<std::uint64_t>(past_budget));
 }
 
 TEST(Dos, BanExpiresAndPeerStartsClean) {
-  SyncConfig sync;
-  sync.dos.ban_duration = 100;
-  DosRig rig(31, sync);
+  DosRig rig(31);
   for (int i = 0; i < 5; ++i) rig.inject(MsgType::kBlock, {0xff});
   ASSERT_TRUE(rig.victim.peer_banned(rig.attacker));
   const SimTime banned_at = rig.net.now();
 
-  rig.net.run_until(banned_at + sync.dos.ban_duration + 1);
+  // The queue is idle, so waiting out the ban only moves the clock.
+  rig.net.run_until(banned_at + kBanDuration + 1);
   EXPECT_FALSE(rig.victim.peer_banned(rig.attacker));
   EXPECT_EQ(rig.victim.banned_peer_count(), 0u);
   // The slate is clean: the score reset with the expiry...
@@ -178,36 +171,23 @@ TEST(Dos, BanExpiresAndPeerStartsClean) {
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).bans, 1u);
 }
 
-TEST(Dos, ScoringDisabledNeverBans) {
-  SyncConfig sync;
-  sync.dos.enabled = false;
-  DosRig rig(37, sync);
-  for (int i = 0; i < 50; ++i) rig.inject(MsgType::kBlock, {0xba, 0xad});
-  EXPECT_FALSE(rig.victim.peer_banned(rig.attacker));
-  EXPECT_EQ(rig.victim.peer_state(rig.attacker).score, 0);
-  // The per-peer bookkeeping still works; only the penalties are off.
-  EXPECT_EQ(rig.victim.peer_state(rig.attacker).malformed, 50u);
-}
-
 TEST(Dos, ScoreHalvesEveryHalfLife) {
   // zen-style decay: the score left over from past offenses halves per
   // elapsed half-life, applied lazily when the peer is next scored.
-  SyncConfig sync;
-  sync.dos.score_half_life = 100;
-  DosRig rig(43, sync);
-  const int per = sync.dos.malformed_penalty;  // 20 at the defaults
+  DosRig rig(43);
+  const int per = kMalformedPenalty;
 
   rig.inject(MsgType::kBlock, {0xff});
   rig.inject(MsgType::kBlock, {0xff});
   ASSERT_EQ(rig.victim.peer_state(rig.attacker).score, 2 * per);
 
   // One half-life later, the next offense charges onto a halved score.
-  rig.net.run_until(rig.net.now() + sync.dos.score_half_life);
+  rig.net.run_until(rig.net.now() + kScoreHalfLife);
   rig.inject(MsgType::kBlock, {0xff});
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).score, (2 * per) / 2 + per);
 
   // Several half-lives of silence wipe the slate almost clean.
-  rig.net.run_until(rig.net.now() + 8 * sync.dos.score_half_life);
+  rig.net.run_until(rig.net.now() + 8 * kScoreHalfLife);
   rig.inject(MsgType::kBlock, {0xff});
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).score, per);
   EXPECT_FALSE(rig.victim.peer_banned(rig.attacker));
@@ -218,16 +198,14 @@ TEST(Dos, SlowFlakyPeerNeverAccumulatesToBan) {
   // malformed penalty per half-life, forever. Without decay the score
   // ratchets to the 100-point threshold on the 5th offense; with decay
   // it plateaus below 2x the penalty and the peer stays connected.
-  SyncConfig sync;
-  sync.dos.score_half_life = 50;
-  DosRig rig(47, sync);
+  DosRig rig(47);
   for (int i = 0; i < 20; ++i) {
     rig.inject(MsgType::kBlock, {0xba, 0xad});
-    rig.net.run_until(rig.net.now() + sync.dos.score_half_life);
+    rig.net.run_until(rig.net.now() + kScoreHalfLife);
   }
   EXPECT_FALSE(rig.victim.peer_banned(rig.attacker));
   EXPECT_LT(rig.victim.peer_state(rig.attacker).score,
-            2 * sync.dos.malformed_penalty);
+            2 * kMalformedPenalty);
   // A concentrated burst still bans: the whole burst spans well under
   // one half-life per offense, so at most one halving can interleave —
   // ten penalties overwhelm it regardless of where the boundary falls.
@@ -235,18 +213,6 @@ TEST(Dos, SlowFlakyPeerNeverAccumulatesToBan) {
     rig.inject(MsgType::kBlock, {0xba, 0xad});
   }
   EXPECT_TRUE(rig.victim.peer_banned(rig.attacker));
-}
-
-TEST(Dos, ZeroHalfLifeDisablesDecay) {
-  SyncConfig sync;
-  sync.dos.score_half_life = 0;
-  DosRig rig(53, sync);
-  rig.inject(MsgType::kBlock, {0xff});
-  const int score = rig.victim.peer_state(rig.attacker).score;
-  rig.net.run_until(rig.net.now() + 1'000'000);
-  rig.inject(MsgType::kBlock, {0xff});
-  EXPECT_EQ(rig.victim.peer_state(rig.attacker).score,
-            score + rig.victim.sync_config().dos.malformed_penalty);
 }
 
 TEST(Dos, HonestDeepCatchUpNeverScores) {
@@ -261,7 +227,7 @@ TEST(Dos, HonestDeepCatchUpNeverScores) {
   c[0].announce_tip();
   c.net.run_until_idle();
   // Let every orphan suspect age past the grace period and be judged.
-  c.net.run_until(c.net.now() + 2 * c[0].sync_config().dos.orphan_suspect_grace);
+  c.net.run_until(c.net.now() + 2 * kOrphanSuspectGrace);
   c.net.run_until_idle();
 
   ASSERT_EQ(c[3].height(), 100u);

@@ -35,7 +35,7 @@ Digest replay_fingerprint(const mainchain::Blockchain& chain) {
 
 /// Repeated announce/drain rounds until every node reaches `target`'s
 /// tip — what a peer re-advertising its tip does for nodes still behind
-/// (a stalled sync gives up after max_request_attempts and waits for the
+/// (a stalled sync gives up after kMaxRequestAttempts and waits for the
 /// next announcement). Returns the number of rounds used, or
 /// `max_rounds + 1` on failure.
 std::size_t announce_until_synced(NodeCluster& c, std::size_t target,
@@ -251,7 +251,7 @@ TEST(HeadersFirst, NotFoundBouncesRequestsWithoutWaitingForStallTimer) {
   c[1].announce_tip();
   // Everything must be done before the first stall deadline would hit —
   // the bounce, not the timer, moved the requests.
-  c.net.run_until(t0 + c[2].sync_config().stall_timeout - 1);
+  c.net.run_until(t0 + kStallTimeout - 1);
   EXPECT_EQ(c[2].height(), 24u);
   EXPECT_EQ(c[2].tip(), c[1].tip());
   EXPECT_GE(c[2].stats().received(MsgType::kNotFound), 1u);
@@ -292,9 +292,8 @@ TEST(HeadersFirst, DeepSyncUnderDeferredParallelValidation) {
   // The same pipeline with the batch verifier fanned out across worker
   // threads — the sync-heavy scenario the TSan CI job runs.
   mainchain::ChainParams params;
-  params.validation.policy = parallel::CheckPolicy::kDeferred;
   params.validation.worker_threads = 2;
-  NodeCluster c(31, 4, SyncConfig{}, params);
+  NodeCluster c(31, 4, params);
   c.net.partition({{0, 1, 2}, {3}});
   for (int i = 0; i < 128; ++i) c[0].mine();
   c.net.run_until_idle();
@@ -304,6 +303,12 @@ TEST(HeadersFirst, DeepSyncUnderDeferredParallelValidation) {
   EXPECT_EQ(c[3].height(), 128u);
   EXPECT_EQ(c[3].chain().state().state_fingerprint(),
             c[0].chain().state().state_fingerprint());
+}
+
+TEST(HeadersFirst, InFlightCapFitsTheDefaultOrphanPool) {
+  // Out-of-order bodies buffer in the orphan pool; a download window
+  // wider than the pool would evict bodies faster than they connect.
+  EXPECT_LE(kMaxInFlight, mainchain::ChainParams{}.max_orphan_blocks);
 }
 
 // ---------------------------------------------------------------------
@@ -465,8 +470,7 @@ TEST(SchedulerRegression, AllDuplicateFullBatchKeepsHeaderWalkAlive) {
                                             .write_u64(0)
                                             .finalize());
   NetNode victim(net, params, key);
-  ReplayHeaderServer server(net, mined_chain(59, 300),
-                            victim.sync_config().headers_batch);
+  ReplayHeaderServer server(net, mined_chain(59, 300), kHeadersBatch);
 
   server.announce(victim.id());
   net.run_until_idle();
@@ -517,8 +521,8 @@ TEST(SchedulerRegression, StallTimerFiresAtEarliestPendingDeadline) {
     ASSERT_TRUE(net.step());
   }
   const SimTime t_header = net.now();
-  const SimTime header_deadline = t_header + victim.sync_config().stall_timeout;
-  ASSERT_GT(header_deadline, t1 + victim.sync_config().stall_timeout);
+  const SimTime header_deadline = t_header + kStallTimeout;
+  ASSERT_GT(header_deadline, t1 + kStallTimeout);
 
   // By one tick past the header round's own deadline the retry must be
   // out. The flat timer would still be sleeping until t1+64.

@@ -106,7 +106,7 @@ TEST(MetricsProbe, SamplesAreOrderedAndCountersMonotone) {
 
 TEST(MetricsProbe, OrphanPoolStaysBoundedUnderFlood) {
   mainchain::ChainParams params;
-  NodeCluster cluster(11, 2, {}, params);
+  NodeCluster cluster(11, 2, params);
   net::OrphanSpammer spammer(cluster.net, params);
   MetricsProbe probe(cluster.net, cluster.ptrs(), /*cadence=*/8);
   // Three flood waves with sampling in between: the time-series must

@@ -1,8 +1,9 @@
 // Differential tests for the parallel validation pipeline: connecting the
-// same proof-heavy blocks under every pipeline configuration — inline,
-// deferred on the caller, deferred across 1/2/8 workers — must produce
-// byte-identical outcomes (accept/reject, error string, state
-// fingerprint), and the shared verified-check cache must make a
+// same proof-heavy blocks under every pipeline configuration — the batch
+// on the caller with the cache off, then 0/1/2/8 workers with the cache
+// on — must produce byte-identical outcomes (accept/reject, error string,
+// state fingerprint), a rejection must leave the same cache state at
+// every worker count, and the shared verified-check cache must make a
 // dry_run→connect of one block pay for each check exactly once.
 #include <gtest/gtest.h>
 
@@ -15,28 +16,32 @@
 namespace zendoo::mainchain {
 namespace {
 
-using parallel::CheckPolicy;
 using parallel::ValidationConfig;
+using parallel::ValidationStats;
 
 constexpr std::uint64_t kSigs = 5;
 constexpr std::uint64_t kCsws = 2;
 constexpr std::uint64_t kSegmentBlocks = 4;
 constexpr Amount kFtAmount = 1'000'000;
 
-/// Every pipeline configuration under test. The inline config is the
-/// sequential reference the deferred ones must match byte for byte.
+/// The sequential reference: the batch runs on the caller, and no check
+/// is answered from the cache.
+constexpr ValidationConfig kSequential{0, 0};
+
+/// Worker counts every sweep covers, with the cache on.
+constexpr unsigned kWorkerCounts[] = {0, 1, 2, 8};
+
+/// Every pipeline configuration under test; the first is the sequential
+/// reference the others must match byte for byte.
 std::vector<ValidationConfig> all_configs() {
-  std::vector<ValidationConfig> configs;
-  configs.push_back({CheckPolicy::kInline, 0, 0});
-  for (unsigned workers : {0u, 1u, 2u, 8u}) {
-    configs.push_back({CheckPolicy::kDeferred, workers, 1 << 12});
-  }
+  std::vector<ValidationConfig> configs{kSequential};
+  for (unsigned workers : kWorkerCounts) configs.push_back({workers, 1 << 12});
   return configs;
 }
 
 std::string config_name(const ValidationConfig& c) {
-  if (c.policy == CheckPolicy::kInline) return "inline";
-  return "deferred/workers:" + std::to_string(c.worker_threads);
+  return "workers:" + std::to_string(c.worker_threads) +
+         (c.cache_capacity == 0 ? "/no-cache" : "");
 }
 
 /// Deterministic chain whose tail blocks each carry kSigs signature
@@ -220,7 +225,7 @@ Digest connect_all(const ValidationConfig& config) {
 }
 
 TEST(BatchValidationTest, AcceptOutcomeIdenticalAcrossConfigs) {
-  Digest reference = connect_all({CheckPolicy::kInline, 0, 0});
+  Digest reference = connect_all(kSequential);
   ASSERT_FALSE(reference.is_zero());
   for (const ValidationConfig& config : all_configs()) {
     EXPECT_EQ(connect_all(config), reference) << config_name(config);
@@ -286,8 +291,7 @@ TEST(BatchValidationTest, StatefulErrorAloneSameEverywhere) {
 
 TEST(BatchValidationTest, DryRunSharesVerifierCacheWithConnect) {
   const auto& chain = ProofHeavyChain::instance();
-  ChainState state =
-      chain.prefix_state({CheckPolicy::kDeferred, 0, 1 << 12});
+  ChainState state = chain.prefix_state({0, 1 << 12});
   const Block& block = chain.blocks[chain.segment_begin];
   const std::uint64_t checks = kSigs + 1 + kCsws;
 
@@ -306,17 +310,51 @@ TEST(BatchValidationTest, DryRunSharesVerifierCacheWithConnect) {
   EXPECT_EQ(after_connect.cache_hits, after_dry.cache_hits + checks);
 }
 
-TEST(BatchValidationTest, SetValidationConfigDetachesRuntime) {
+TEST(BatchValidationTest, CopiesShareValidationRuntime) {
   const auto& chain = ProofHeavyChain::instance();
-  ChainState a = chain.prefix_state({CheckPolicy::kDeferred, 0, 1 << 12});
+  ChainState a = chain.prefix_state({0, 1 << 12});
   ChainState b = a;  // copies share the runtime...
+  ASSERT_NE(a.validation_context(), nullptr);
   EXPECT_EQ(a.validation_context(), b.validation_context());
-  b.set_validation_config({CheckPolicy::kDeferred, 2, 1 << 12});
-  EXPECT_NE(a.validation_context(), b.validation_context());
-  // ...and both still validate correctly after the split.
-  ASSERT_EQ(a.connect_block(chain.blocks[chain.segment_begin]), "");
-  ASSERT_EQ(b.connect_block(chain.blocks[chain.segment_begin]), "");
+  // ...so the checks a verified are cache hits for b.
+  const Block& block = chain.blocks[chain.segment_begin];
+  ASSERT_EQ(a.connect_block(block), "");
+  const ValidationStats before = b.validation_context()->stats();
+  ASSERT_EQ(b.connect_block(block), "");
+  const ValidationStats after = b.validation_context()->stats();
+  EXPECT_EQ(after.checks_executed, before.checks_executed);
+  EXPECT_EQ(after.cache_hits, before.cache_hits + kSigs + 1 + kCsws);
   EXPECT_EQ(a.state_fingerprint(), b.state_fingerprint());
+}
+
+TEST(BatchValidationTest, RejectionLeavesSameStatsUnderEveryWorkerCount) {
+  // A rejected batch caches none of its checks, whichever worker count
+  // ran it: the honest block connected next pays for every check again.
+  const auto& chain = ProofHeavyChain::instance();
+  const Block& honest = chain.blocks[chain.segment_begin];
+  Block bad = honest;
+  bad.transactions[2].inputs[0].sig.s.limb[0] ^= 1;
+  bad = reseal(std::move(bad));
+
+  std::vector<ValidationStats> deltas;
+  for (unsigned workers : kWorkerCounts) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ChainState state = chain.prefix_state({workers, 1 << 12});
+    const ValidationStats before = state.validation_context()->stats();
+    EXPECT_EQ(state.connect_block(bad), "invalid input signature");
+    ASSERT_EQ(state.connect_block(honest), "");
+    const ValidationStats after = state.validation_context()->stats();
+    deltas.push_back({after.checks_executed - before.checks_executed,
+                      after.cache_hits - before.cache_hits,
+                      after.batches - before.batches});
+  }
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    SCOPED_TRACE("workers " + std::to_string(kWorkerCounts[i]));
+    EXPECT_EQ(deltas[i].checks_executed, deltas[0].checks_executed);
+    EXPECT_EQ(deltas[i].cache_hits, deltas[0].cache_hits);
+    EXPECT_EQ(deltas[i].batches, deltas[0].batches);
+  }
+  EXPECT_EQ(deltas[0].cache_hits, 0u);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // Miner::build_block applies each mempool item once, into a nested
 // overlay, and must keep exactly the items the greedy loop kept. That loop
 // survives here as the oracle. Seeded mempools mix valid items with every
-// way an item can fail inside a block. Each seed runs under deferred
-// validation with 0 and 2 workers, with the verified-check cache off, and
-// inline. A cost pin checks that one build pays for each check once.
+// way an item can fail inside a block. Each seed runs with 0 and 2
+// workers, and with the verified-check cache off. A cost pin checks that
+// one build pays for each check once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,7 +29,6 @@ using crypto::hash_str;
 using crypto::KeyPair;
 using crypto::Rng;
 using codec::encode_block;
-using parallel::CheckPolicy;
 using parallel::ValidationConfig;
 
 // ---- The oracle ----
@@ -548,10 +547,7 @@ class Scenario {
 
 /// The first config is the one the oracle runs under.
 std::vector<ValidationConfig> assembly_configs() {
-  return {{CheckPolicy::kDeferred, 0, 1 << 12},
-          {CheckPolicy::kDeferred, 2, 1 << 12},
-          {CheckPolicy::kDeferred, 0, 0},
-          {CheckPolicy::kInline, 0, 0}};
+  return {{0, 1 << 12}, {2, 1 << 12}, {0, 0}};
 }
 
 TEST(BlockAssembly, MatchesGreedyOracleUnderEveryConfig) {
@@ -562,8 +558,7 @@ TEST(BlockAssembly, MatchesGreedyOracleUnderEveryConfig) {
     for (const ValidationConfig& config : assembly_configs()) {
       SCOPED_TRACE("seed " + std::to_string(seed) + ", workers " +
                    std::to_string(config.worker_threads) + ", cache " +
-                   std::to_string(config.cache_capacity) +
-                   (config.policy == CheckPolicy::kInline ? ", inline" : ""));
+                   std::to_string(config.cache_capacity));
       Scenario scenario(config, seed);
       while (scenario.chain().height() < kLastMempoolHeight) {
         scenario.step(cov, refs);

@@ -1,8 +1,9 @@
 // The parallel validation pipeline under real network races: the seeded
 // partition/heal scenarios of the net convergence sweep, run once with
-// the inline (sequential) pipeline and once with deferred validation on
-// a 2-worker pool, must produce the identical event trace, tip and state
-// fingerprint — parallelism must be invisible to consensus.
+// the batch on the caller and the cache off (the sequential reference)
+// and once on a 2-worker pool with the cache on, must produce the
+// identical event trace, tip and state fingerprint — parallelism must be
+// invisible to consensus.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -69,10 +70,8 @@ class ParallelConvergenceSweep
 
 TEST_P(ParallelConvergenceSweep, ParallelPipelineInvisibleToConsensus) {
   const std::uint64_t seed = GetParam();
-  Outcome sequential =
-      run_scenario(seed, {parallel::CheckPolicy::kInline, 0, 0});
-  Outcome parallel = run_scenario(
-      seed, {parallel::CheckPolicy::kDeferred, 2, std::size_t{1} << 16});
+  Outcome sequential = run_scenario(seed, {0, 0});
+  Outcome parallel = run_scenario(seed, {2, std::size_t{1} << 16});
 
   EXPECT_EQ(sequential.trace, parallel.trace) << "seed " << seed;
   EXPECT_EQ(sequential.tip, parallel.tip) << "seed " << seed;
