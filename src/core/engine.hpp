@@ -75,7 +75,10 @@ class Engine {
   /// newest checkpoint at or below the fork point and replays only the
   /// blocks after it (LatusNode::rollback_to_mc_ancestor); nodes whose
   /// fork point undercuts every retained checkpoint are rebuilt from
-  /// scratch. SC-local mempool content is dropped.
+  /// scratch. A rollback truncates the node's append-only logs and
+  /// restores the small mutable part the checkpoint copied, so it costs
+  /// the same however long the node's history. SC-local mempool content
+  /// submitted after the restored checkpoint is dropped.
   void resync_sidechains_after_reorg();
 
  private:

@@ -33,8 +33,8 @@ struct SignatureMemoStats {
 };
 
 /// One node's memo. Not thread-safe: a node forges and proves on one
-/// thread. Copies hold their own entries; a node's checkpoint copies share
-/// one memo through a pointer (see latus::LatusProofSystem).
+/// thread. Copies hold their own entries; copies of a node share one memo
+/// through a pointer (see latus::LatusProofSystem).
 class SignatureMemo {
  public:
   /// Entries kept before a generation dump (see BoundedDigestSet), about

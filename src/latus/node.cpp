@@ -8,8 +8,15 @@ LatusNode::LatusNode(const SidechainId& ledger_id, std::uint64_t start_block,
                      std::uint64_t epoch_len, std::uint64_t submit_len,
                      unsigned mst_depth, std::uint64_t slots_per_epoch)
     : proofs_(ledger_id, mst_depth),
-      state_(mst_depth),
-      slots_per_epoch_(slots_per_epoch) {
+      slots_per_epoch_(slots_per_epoch),
+      live_(mst_depth),
+      obs_(std::make_shared<obs::Registry>()),
+      m_checkpoints_(obs_->gauge("sc.checkpoints")),
+      m_checkpoint_bytes_(obs_->gauge("sc.checkpoint_bytes")),
+      m_chain_blocks_(obs_->gauge("sc.chain_blocks")),
+      m_cert_archive_(obs_->gauge("sc.cert_archive")),
+      m_pending_certs_(obs_->gauge("sc.pending_certs")),
+      m_mc_index_(obs_->gauge("sc.mc_index")) {
   mc_params_.ledger_id = ledger_id;
   mc_params_.start_block = start_block;
   mc_params_.epoch_len = epoch_len;
@@ -21,8 +28,8 @@ LatusNode::LatusNode(const SidechainId& ledger_id, std::uint64_t start_block,
   mc_params_.btr_proofdata_len = LatusProofSystem::kBtrProofdataLen;
   mc_params_.csw_proofdata_len = LatusProofSystem::kCswProofdataLen;
 
-  epoch_start_commitment_ = state_.commitment();
-  epoch_start_mst_root_ = state_.mst().root();
+  live_.epoch_start_commitment = live_.state.commitment();
+  live_.epoch_start_mst_root = live_.state.mst().root();
 }
 
 void LatusNode::add_forger(const crypto::KeyPair& key) {
@@ -39,11 +46,11 @@ const crypto::KeyPair* LatusNode::forger_for(const Address& addr) const {
 std::string LatusNode::observe_mc_block(const mainchain::Block& block) {
   std::uint64_t h = block.header.height;
   Digest hash = block.hash();
-  if (last_mc_height_) {
-    if (h != *last_mc_height_ + 1) {
+  if (live_.last_mc_height) {
+    if (h != *live_.last_mc_height + 1) {
       return "MC blocks must be observed in height order";
     }
-    if (block.header.prev_hash != mc_hash_by_height_[*last_mc_height_]) {
+    if (block.header.prev_hash != mc_hashes_.back()) {
       return "MC block does not extend the previously observed block";
     }
   }
@@ -88,28 +95,36 @@ std::string LatusNode::observe_mc_block(const mainchain::Block& block) {
   if (std::string err = ref.verify(id); !err.empty()) {
     return "constructed reference fails verification: " + err;
   }
-  if (!last_mc_height_ && h > 0) {
+  if (!live_.last_mc_height) {
     // First observation: remember the parent hash too (needed when it is
     // an epoch-boundary block, e.g. genesis for epoch 0).
-    mc_hash_by_height_[h - 1] = block.header.prev_hash;
+    mc_hash_base_ = h > 0 ? h - 1 : 0;
+    if (h > 0) mc_hashes_.push_back(block.header.prev_hash);
   }
-  last_mc_height_ = h;
-  mc_hash_by_height_[h] = hash;
+  live_.last_mc_height = h;
+  mc_hashes_.push_back(hash);
   if (ref.wcert) {
     // Remember the acceptance evidence: it anchors future BTR/CSW
     // ownership proofs (H(B_w) in Def 4.5) and extends the Appendix-A
     // certificate history.
-    observed_cert_ = ObservedCert{*ref.wcert, block.header, *ref.mproof};
-    observed_history_.push_back(*observed_cert_);
+    observed_history_.push_back(
+        ObservedCert{*ref.wcert, block.header, *ref.mproof});
   }
-  pending_refs_.emplace_back(std::move(ref), h);
+  live_.pending_refs.emplace_back(std::move(ref), h);
+  // From here on no block can carry these epochs' certificates (Def 4.2).
+  auto& pending = live_.pending_certs;
+  while (!pending.empty() &&
+         h >= mc_params_.cert_window_end(pending.front()->we_epoch)) {
+    pending.pop_front();
+  }
+  publish_gauges();
   return "";
 }
 
 void LatusNode::refresh_consensus_epoch(std::uint64_t epoch) const {
-  if (epoch == cached_consensus_epoch_) return;
-  cached_consensus_epoch_ = epoch;
-  epoch_stake_ = StakeDistribution(state_.stake_snapshot());
+  if (epoch == live_.cached_consensus_epoch) return;
+  live_.cached_consensus_epoch = epoch;
+  live_.epoch_stake = StakeDistribution(live_.state.stake_snapshot());
   // Randomness: hash of the previous consensus epoch's last block (or a
   // fixed genesis seed), revealed after the stake snapshot was fixed.
   Digest prev_last = crypto::hash_str(Domain::kEpochRandomness, "genesis");
@@ -117,7 +132,7 @@ void LatusNode::refresh_consensus_epoch(std::uint64_t epoch) const {
     std::size_t idx = static_cast<std::size_t>(epoch * slots_per_epoch_) - 1;
     if (idx < chain_.size()) prev_last = chain_[idx].hash();
   }
-  epoch_rand_ = epoch_randomness(prev_last, epoch);
+  live_.epoch_rand = epoch_randomness(prev_last, epoch);
 }
 
 Address LatusNode::next_slot_leader() const {
@@ -125,13 +140,13 @@ Address LatusNode::next_slot_leader() const {
   std::uint64_t epoch = height / slots_per_epoch_;
   std::uint64_t slot = height % slots_per_epoch_;
   refresh_consensus_epoch(epoch);
-  if (epoch_stake_.empty()) {
+  if (live_.epoch_stake.empty()) {
     if (forgers_.empty()) {
       throw std::logic_error("LatusNode: no forgers registered");
     }
     return forgers_.front().address();  // bootstrap leader
   }
-  return select_slot_leader(epoch_stake_, epoch_rand_, epoch, slot);
+  return select_slot_leader(live_.epoch_stake, live_.epoch_rand, epoch, slot);
 }
 
 std::string LatusNode::forge_block() {
@@ -151,42 +166,42 @@ std::string LatusNode::forge_block() {
   block.header.slot = slot;
   block.header.forger = leader;
 
+  LatusState& state = live_.state;
+  std::vector<snark::TransitionStep>& steps = live_.epoch_steps;
   // Consume queued MC references in order, stopping after a withdrawal
   // epoch boundary block (§5.1.1's simplifying restriction).
   bool boundary = false;
-  while (!pending_refs_.empty() && !boundary) {
-    auto [ref, mc_height] = std::move(pending_refs_.front());
-    pending_refs_.pop_front();
+  while (!live_.pending_refs.empty() && !boundary) {
+    auto [ref, mc_height] = std::move(live_.pending_refs.front());
+    live_.pending_refs.pop_front();
     if (std::string err = ref.verify(mc_params_.ledger_id); !err.empty()) {
       return "queued MC reference invalid: " + err;
     }
     if (ref.forward_transfers) {
-      Digest before = state_.commitment();
-      LatusState pre = state_;
+      Digest before = state.commitment();
+      LatusState pre = state;
       if (std::string err =
-              apply_forward_transfers(state_, *ref.forward_transfers);
+              apply_forward_transfers(state, *ref.forward_transfers);
           !err.empty()) {
         return err;
       }
-      snark::TransitionStep step{before, state_.commitment(),
-                                 TransitionWitness{std::move(pre),
-                                                   *ref.forward_transfers}};
-      epoch_steps_.push_back(std::move(step));
+      steps.push_back(make_transition_step(
+          before, state.commitment(),
+          TransitionWitness{std::move(pre), *ref.forward_transfers}));
     }
     if (ref.bt_requests) {
-      Digest before = state_.commitment();
-      LatusState pre = state_;
-      if (std::string err = apply_btr(state_, *ref.bt_requests);
+      Digest before = state.commitment();
+      LatusState pre = state;
+      if (std::string err = apply_btr(state, *ref.bt_requests);
           !err.empty()) {
         return err;
       }
-      snark::TransitionStep step{before, state_.commitment(),
-                                 TransitionWitness{std::move(pre),
-                                                   *ref.bt_requests}};
-      epoch_steps_.push_back(std::move(step));
+      steps.push_back(make_transition_step(
+          before, state.commitment(),
+          TransitionWitness{std::move(pre), *ref.bt_requests}));
     }
     if (mc_height >= mc_params_.start_block &&
-        mc_height == mc_params_.epoch_end(current_we_)) {
+        mc_height == mc_params_.epoch_end(live_.current_we)) {
       boundary = true;
     }
     block.mc_refs.push_back(std::move(ref));
@@ -194,76 +209,72 @@ std::string LatusNode::forge_block() {
 
   if (!boundary) {
     // Regular SC transactions; invalid ones are dropped (mempool policy).
-    for (PaymentTx& tx : mempool_payments_) {
-      Digest before = state_.commitment();
-      LatusState pre = state_;
-      if (apply_payment(state_, tx, proofs_.signature_memo()).empty()) {
-        snark::TransitionStep step{before, state_.commitment(),
-                                   TransitionWitness{std::move(pre), tx}};
-        epoch_steps_.push_back(std::move(step));
+    for (PaymentTx& tx : live_.mempool_payments) {
+      Digest before = state.commitment();
+      LatusState pre = state;
+      if (apply_payment(state, tx, proofs_.signature_memo()).empty()) {
+        steps.push_back(make_transition_step(
+            before, state.commitment(), TransitionWitness{std::move(pre), tx}));
         block.payments.push_back(std::move(tx));
       }
     }
-    mempool_payments_.clear();
-    for (BackwardTransferTx& tx : mempool_bts_) {
-      Digest before = state_.commitment();
-      LatusState pre = state_;
-      if (apply_backward_transfer(state_, tx, proofs_.signature_memo())
+    live_.mempool_payments.clear();
+    for (BackwardTransferTx& tx : live_.mempool_bts) {
+      Digest before = state.commitment();
+      LatusState pre = state;
+      if (apply_backward_transfer(state, tx, proofs_.signature_memo())
               .empty()) {
-        snark::TransitionStep step{before, state_.commitment(),
-                                   TransitionWitness{std::move(pre), tx}};
-        epoch_steps_.push_back(std::move(step));
+        steps.push_back(make_transition_step(
+            before, state.commitment(), TransitionWitness{std::move(pre), tx}));
         block.bt_txs.push_back(std::move(tx));
       }
     }
-    mempool_bts_.clear();
+    live_.mempool_bts.clear();
   }
 
   block.header.body_root = block.compute_body_root();
-  block.header.state_commitment = state_.commitment();
+  block.header.state_commitment = state.commitment();
   block.header.forger_pubkey = key->public_key();
   block.header.forger_sig = key->sign(block.header.signing_digest());
   chain_.push_back(block);
 
   if (boundary) {
     // Snapshot everything the withdrawal certificate needs (§5.5.3.1).
-    EpochSnapshot snap;
-    snap.we_epoch = current_we_;
-    snap.quality = new_height;  // Latus: quality = proven SC chain height
-    snap.sb_last_hash = chain_.back().hash();
-    snap.bt_list = state_.backward_transfers();
-    snap.state_after = state_.commitment();
-    snap.mst_root_after = state_.mst().root();
-    snap.state_before = epoch_start_commitment_;
-    snap.mst_root_before = epoch_start_mst_root_;
-    snap.delta_hash = state_.delta().hash();
-    snap.delta = state_.delta();
-    snap.steps = std::move(epoch_steps_);
-    snap.boundary_state = state_;
-    auto it_prev = mc_hash_by_height_.find(
-        current_we_ == 0 ? mc_params_.start_block - 1
-                         : mc_params_.epoch_end(current_we_ - 1));
-    auto it_last = mc_hash_by_height_.find(mc_params_.epoch_end(current_we_));
-    if (it_prev == mc_hash_by_height_.end() ||
-        it_last == mc_hash_by_height_.end()) {
-      return "missing MC epoch-boundary hashes";
-    }
-    snap.prev_epoch_last_mc = it_prev->second;
-    snap.epoch_last_mc = it_last->second;
-    pending_certs_.push_back(std::move(snap));
+    std::uint64_t we = live_.current_we;
+    auto snap = std::make_shared<EpochSnapshot>();
+    snap->we_epoch = we;
+    snap->quality = new_height;  // Latus: quality = proven SC chain height
+    snap->sb_last_hash = chain_.back().hash();
+    snap->bt_list = state.backward_transfers();
+    snap->state_after = state.commitment();
+    snap->mst_root_after = state.mst().root();
+    snap->state_before = live_.epoch_start_commitment;
+    snap->mst_root_before = live_.epoch_start_mst_root;
+    snap->delta_hash = state.delta().hash();
+    snap->delta = state.delta();
+    snap->steps = std::move(steps);
+    snap->boundary_state = state;
+    auto prev_last = observed_mc_hash(
+        we == 0 ? mc_params_.start_block - 1 : mc_params_.epoch_end(we - 1));
+    auto last = observed_mc_hash(mc_params_.epoch_end(we));
+    if (!prev_last || !last) return "missing MC epoch-boundary hashes";
+    snap->prev_epoch_last_mc = *prev_last;
+    snap->epoch_last_mc = *last;
+    live_.pending_certs.push_back(std::move(snap));
 
     // New withdrawal epoch: clear the BT list and delta (§5.2.1).
-    epoch_steps_.clear();
-    state_.begin_withdrawal_epoch();
-    ++current_we_;
-    epoch_start_commitment_ = state_.commitment();
-    epoch_start_mst_root_ = state_.mst().root();
+    steps.clear();
+    state.begin_withdrawal_epoch();
+    ++live_.current_we;
+    live_.epoch_start_commitment = state.commitment();
+    live_.epoch_start_mst_root = state.mst().root();
   }
+  publish_gauges();
   return "";
 }
 
 std::string LatusNode::forge_until_synced() {
-  while (!pending_refs_.empty()) {
+  while (!live_.pending_refs.empty()) {
     if (std::string err = forge_block(); !err.empty()) return err;
   }
   maybe_checkpoint();
@@ -271,24 +282,46 @@ std::string LatusNode::forge_until_synced() {
 }
 
 std::optional<Digest> LatusNode::observed_mc_hash(std::uint64_t h) const {
-  auto it = mc_hash_by_height_.find(h);
-  if (it == mc_hash_by_height_.end()) return std::nullopt;
-  return it->second;
+  if (h < mc_hash_base_ || h - mc_hash_base_ >= mc_hashes_.size()) {
+    return std::nullopt;
+  }
+  return mc_hashes_[h - mc_hash_base_];
+}
+
+std::uint64_t LatusNode::Mutable::dynamic_usage() const {
+  // The state's MST nodes and the steps' witnesses are shared with the
+  // live node, so only the pointers to them count.
+  constexpr std::uint64_t kUtxoEntry =
+      sizeof(std::pair<const std::uint64_t, Utxo>) + 2 * sizeof(void*);
+  return state.mst().occupied_count() * kUtxoEntry +
+         state.backward_transfers().size() *
+             sizeof(mainchain::BackwardTransfer) +
+         (state.delta().size() + 63) / 64 * sizeof(std::uint64_t) +
+         pending_refs.size() *
+             sizeof(std::pair<McBlockReference, std::uint64_t>) +
+         mempool_payments.size() * sizeof(PaymentTx) +
+         mempool_bts.size() * sizeof(BackwardTransferTx) +
+         epoch_steps.size() *
+             (sizeof(snark::TransitionStep) +
+              sizeof(std::shared_ptr<const TransitionWitness>)) +
+         pending_certs.size() * sizeof(std::shared_ptr<const EpochSnapshot>) +
+         epoch_stake.entries().size() *
+             (sizeof(std::pair<Address, Amount>) + sizeof(Amount));
 }
 
 void LatusNode::maybe_checkpoint() {
-  if (!last_mc_height_) return;
-  std::uint64_t h = *last_mc_height_;
+  if (!live_.last_mc_height) return;
+  std::uint64_t h = *live_.last_mc_height;
   if (h % kCheckpointInterval != 0) return;
-  if (!checkpoints_.empty() && checkpoints_.back().first >= h) return;
-  auto snap = std::make_shared<LatusNode>(*this);
-  // A snapshot must not hold snapshots of its own (and a restore must not
-  // resurrect stale ones).
-  snap->checkpoints_.clear();
-  checkpoints_.emplace_back(h, std::move(snap));
+  if (!checkpoints_.empty() && checkpoints_.back()->mc_height >= h) return;
+  LogLengths logs{chain_.size(), observed_history_.size(), mc_hashes_.size(),
+                  cert_order_.size()};
+  checkpoints_.push_back(
+      std::make_shared<const Checkpoint>(Checkpoint{h, logs, live_}));
   if (checkpoints_.size() > kMaxCheckpoints) {
     checkpoints_.erase(checkpoints_.begin());
   }
+  publish_gauges();
 }
 
 std::optional<std::uint64_t> LatusNode::rollback_to_mc_ancestor(
@@ -296,28 +329,49 @@ std::optional<std::uint64_t> LatusNode::rollback_to_mc_ancestor(
   // Newest checkpoint at or below the fork point.
   std::size_t pick = checkpoints_.size();
   for (std::size_t i = checkpoints_.size(); i-- > 0;) {
-    if (checkpoints_[i].first <= mc_height) {
+    if (checkpoints_[i]->mc_height <= mc_height) {
       pick = i;
       break;
     }
   }
   if (pick == checkpoints_.size()) return std::nullopt;
 
-  // Keep the checkpoints up to (and including) the restored one; the
-  // assignment below would otherwise wipe them.
-  auto kept = std::move(checkpoints_);
-  std::uint64_t restored = kept[pick].first;
-  *this = *kept[pick].second;
-  kept.resize(pick + 1);
-  checkpoints_ = std::move(kept);
-  return restored;
+  // Every newer checkpoint goes, so the logs of those kept stay prefixes
+  // of the live ones.
+  checkpoints_.resize(pick + 1);
+  const Checkpoint& cp = *checkpoints_.back();
+  chain_.resize(cp.logs.chain);
+  observed_history_.resize(cp.logs.observed_certs);
+  mc_hashes_.resize(cp.logs.mc_hashes);
+  for (std::size_t i = cp.logs.cert_records; i < cert_order_.size(); ++i) {
+    cert_states_.erase(cert_order_[i]);
+  }
+  cert_order_.resize(cp.logs.cert_records);
+  live_ = cp.live;
+  publish_gauges();
+  return cp.mc_height;
+}
+
+void LatusNode::publish_gauges() {
+  std::uint64_t bytes = 0;
+  for (const auto& cp : checkpoints_) {
+    bytes += sizeof(Checkpoint) + cp->live.dynamic_usage();
+  }
+  m_checkpoints_->set(checkpoints_.size());
+  m_checkpoint_bytes_->set(bytes);
+  m_chain_blocks_->set(chain_.size());
+  m_cert_archive_->set(cert_states_.size());
+  m_pending_certs_->set(live_.pending_certs.size());
+  m_mc_index_->set(mc_hashes_.size());
 }
 
 std::optional<mainchain::WithdrawalCertificate> LatusNode::build_certificate(
     snark::RecursionStats* stats) {
-  if (pending_certs_.empty()) return std::nullopt;
-  EpochSnapshot snap = std::move(pending_certs_.front());
-  pending_certs_.pop_front();
+  if (live_.pending_certs.empty()) return std::nullopt;
+  std::shared_ptr<const EpochSnapshot> shared =
+      std::move(live_.pending_certs.front());
+  live_.pending_certs.pop_front();
+  const EpochSnapshot& snap = *shared;
 
   WcertProofInput in;
   in.state_before = snap.state_before;
@@ -348,20 +402,23 @@ std::optional<mainchain::WithdrawalCertificate> LatusNode::build_certificate(
   cert.proofdata = LatusProofSystem::wcert_proofdata(in);
   cert.proof = proofs_.prove_wcert(in);
 
-  cert_states_.emplace(
-      cert.hash(),
-      CertRecord{std::move(*snap.boundary_state), std::move(snap.delta)});
+  // A checkpoint may still hold the snapshot, so the archive copies it.
+  auto [it, inserted] = cert_states_.emplace(
+      cert.hash(), CertRecord{*snap.boundary_state, snap.delta});
+  if (inserted) cert_order_.push_back(it->first);
+  publish_gauges();
   return cert;
 }
 
 OwnershipWitness LatusNode::make_ownership_witness(
     const Utxo& utxo, const crypto::KeyPair& owner,
     const Address& mc_receiver) const {
-  if (!observed_cert_) {
+  if (observed_history_.empty()) {
     throw std::logic_error(
         "LatusNode: no certificate observed on the mainchain yet");
   }
-  auto it = cert_states_.find(observed_cert_->cert.hash());
+  const ObservedCert& observed = observed_history_.back();
+  auto it = cert_states_.find(observed.cert.hash());
   if (it == cert_states_.end()) {
     throw std::logic_error(
         "LatusNode: no state snapshot for the observed certificate");
@@ -376,10 +433,11 @@ OwnershipWitness LatusNode::make_ownership_witness(
   w.pubkey = owner.public_key();
   w.sig = owner.sign(
       LatusProofSystem::ownership_message(mc_receiver, utxo.nullifier()));
-  w.mst_proof = snapshot.mst().prove(mst_position(utxo, state_.depth()));
-  w.cert = observed_cert_->cert;
-  w.cert_block_header = observed_cert_->block_header;
-  w.cert_mproof = observed_cert_->mproof;
+  w.mst_proof =
+      snapshot.mst().prove(mst_position(utxo, live_.state.depth()));
+  w.cert = observed.cert;
+  w.cert_block_header = observed.block_header;
+  w.cert_mproof = observed.mproof;
   return w;
 }
 
@@ -428,7 +486,7 @@ mainchain::CeasedSidechainWithdrawal LatusNode::create_csw_historical(
   w.base.sig = owner.sign(
       LatusProofSystem::ownership_message(mc_receiver, utxo.nullifier()));
   w.base.mst_proof =
-      record.state.mst().prove(mst_position(utxo, state_.depth()));
+      record.state.mst().prove(mst_position(utxo, live_.state.depth()));
   w.base.cert = anchor.cert;
   w.base.cert_block_header = anchor.block_header;
   w.base.cert_mproof = anchor.mproof;

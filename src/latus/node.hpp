@@ -18,24 +18,35 @@
 #include "latus/consensus.hpp"
 #include "latus/proofs.hpp"
 #include "mainchain/params.hpp"
+#include "obs/metrics.hpp"
 
 namespace zendoo::latus {
 
 class LatusNode {
  public:
   /// MC reorg handling (§5.1 "Mainchain forks resolution"): the node
-  /// checkpoints its full state every kCheckpointInterval observed MC
-  /// blocks (bounded ring of kMaxCheckpoints), so a rollback to a fork
-  /// point restores the newest covering checkpoint and replays only the
-  /// MC blocks after it — instead of rebuilding from genesis.
+  /// checkpoints itself every kCheckpointInterval observed MC blocks
+  /// (bounded ring of kMaxCheckpoints), so a rollback to a fork point
+  /// restores the newest covering checkpoint and replays only the MC
+  /// blocks after it — instead of rebuilding from genesis.
   ///
-  /// A checkpoint is a full LatusNode copy. Every LatusState in it (the
-  /// live state, each pending transition step's witness pre-state, each
-  /// epoch snapshot and archived certificate state) shares its MST nodes
-  /// with the source, so the trees cost O(1) per copy. The copy still
-  /// duplicates each state's UTXO map and dense mst_delta, the SC chain,
-  /// the certificate archive map, the observed certificate history and
-  /// the MC hash index, so its cost still grows with history.
+  /// A checkpoint is an undo record, not a copy of the node. The node's
+  /// data splits in two:
+  ///  - append-only logs: the SC chain, the observed certificates, the
+  ///    MC hash index and the certificate archive. A checkpoint records
+  ///    their lengths, and a rollback truncates them. A retained
+  ///    checkpoint's logs are always prefixes of the live ones: the logs
+  ///    only append between rollbacks, and a rollback discards every
+  ///    newer checkpoint.
+  ///  - the mutable part (Mutable below): the state, the queued MC
+  ///    references, the mempools, the epoch accumulator and the
+  ///    consensus-epoch cache. A checkpoint copies it. Its transition
+  ///    witnesses and pending epoch snapshots are shared, immutable
+  ///    objects, so the copy costs one pointer each; the state's MST
+  ///    nodes are shared too, so only its UTXO map and dense mst_delta
+  ///    are duplicated.
+  /// So a checkpoint costs the state plus a pointer per open transition
+  /// step, however long the history (the "sc.checkpoint_bytes" gauge).
   static constexpr std::uint64_t kCheckpointInterval = 8;
   static constexpr std::size_t kMaxCheckpoints = 16;
   LatusNode(const SidechainId& ledger_id, std::uint64_t start_block,
@@ -48,23 +59,29 @@ class LatusNode {
     return mc_params_;
   }
   [[nodiscard]] const LatusProofSystem& proofs() const { return proofs_; }
-  [[nodiscard]] const LatusState& state() const { return state_; }
+  [[nodiscard]] const LatusState& state() const { return live_.state; }
   [[nodiscard]] const std::vector<ScBlock>& chain() const { return chain_; }
   [[nodiscard]] std::uint64_t height() const { return chain_.size(); }
   [[nodiscard]] bool has_pending_refs() const {
-    return !pending_refs_.empty();
+    return !live_.pending_refs.empty();
   }
+  /// Completed epochs whose certificate can still be built: a snapshot
+  /// leaves once the node observes an MC block at or past its epoch's
+  /// cert_window_end, since no such certificate can be accepted then
+  /// (Def 4.2).
   [[nodiscard]] std::size_t pending_certificates() const {
-    return pending_certs_.size();
+    return live_.pending_certs.size();
   }
 
   /// Register a stakeholder/forger key.
   void add_forger(const crypto::KeyPair& key);
 
   /// SC mempool.
-  void submit_payment(PaymentTx tx) { mempool_payments_.push_back(std::move(tx)); }
+  void submit_payment(PaymentTx tx) {
+    live_.mempool_payments.push_back(std::move(tx));
+  }
   void submit_backward_transfer(BackwardTransferTx tx) {
-    mempool_bts_.push_back(std::move(tx));
+    live_.mempool_bts.push_back(std::move(tx));
   }
 
   /// Feed the next MC block of the active chain (in height order). Builds
@@ -116,7 +133,7 @@ class LatusNode {
 
   /// Height of the last MC block this node observed, if any.
   [[nodiscard]] std::optional<std::uint64_t> last_observed_mc_height() const {
-    return last_mc_height_;
+    return live_.last_mc_height;
   }
   /// Hash of the MC block this node observed at `h`, if it observed one.
   [[nodiscard]] std::optional<Digest> observed_mc_hash(
@@ -130,8 +147,19 @@ class LatusNode {
   [[nodiscard]] std::optional<std::uint64_t> rollback_to_mc_ancestor(
       std::uint64_t mc_height);
 
+  // ---- Observability ----
+  //
+  // "sc." gauges (all kStable), refreshed by every call that changes
+  // them: sc.checkpoints, sc.checkpoint_bytes (each checkpoint's size
+  // plus its Mutable::dynamic_usage), sc.chain_blocks, sc.cert_archive,
+  // sc.pending_certs and sc.mc_index. Copies of a node share its
+  // registry, as Blockchain copies do.
+  [[nodiscard]] obs::Registry& registry() { return *obs_; }
+  [[nodiscard]] const obs::Registry& registry() const { return *obs_; }
+
  private:
   /// Everything needed to produce the certificate of one withdrawal epoch.
+  /// Immutable once built: the pending deque and checkpoints share it.
   struct EpochSnapshot {
     std::uint64_t we_epoch = 0;
     std::uint64_t quality = 0;
@@ -155,59 +183,101 @@ class LatusNode {
     merkle::CommitmentMembershipProof mproof;
   };
 
+  /// Per-certificate archive entry: the boundary state for membership
+  /// proofs and the epoch delta for Appendix-A proofs.
+  struct CertRecord {
+    LatusState state;
+    merkle::MstDelta delta;
+  };
+
+  /// What a checkpoint copies: everything that is overwritten, not
+  /// appended, as the node runs.
+  struct Mutable {
+    explicit Mutable(unsigned mst_depth) : state(mst_depth) {}
+
+    /// Heap bytes a copy owns, from element counts times sizes (zen's
+    /// DynamicMemoryUsage style), so the estimate is deterministic.
+    [[nodiscard]] std::uint64_t dynamic_usage() const;
+
+    LatusState state;
+    std::deque<std::pair<McBlockReference, std::uint64_t>> pending_refs;
+    std::vector<PaymentTx> mempool_payments;
+    std::vector<BackwardTransferTx> mempool_bts;
+    std::optional<std::uint64_t> last_mc_height;
+
+    // Withdrawal-epoch accumulation (§5.4). Each step shares its witness
+    // (make_transition_step).
+    std::uint64_t current_we = 0;
+    Digest epoch_start_commitment;
+    Digest epoch_start_mst_root;
+    std::vector<snark::TransitionStep> epoch_steps;
+    std::deque<std::shared_ptr<const EpochSnapshot>> pending_certs;
+
+    // Consensus-epoch cache (lazily refreshed; logically const). It was
+    // filled from the state at the consensus epoch's first slot, so a
+    // rollback restores it rather than refilling it from the restored
+    // state, which could elect other slot leaders.
+    mutable std::uint64_t cached_consensus_epoch = ~0ULL;
+    mutable StakeDistribution epoch_stake;
+    mutable Digest epoch_rand;
+  };
+
+  /// Lengths of the append-only logs.
+  struct LogLengths {
+    std::size_t chain = 0;
+    std::size_t observed_certs = 0;
+    std::size_t mc_hashes = 0;
+    std::size_t cert_records = 0;
+  };
+
+  struct Checkpoint {
+    std::uint64_t mc_height = 0;  ///< last observed MC height
+    LogLengths logs;
+    Mutable live;
+  };
+
   [[nodiscard]] OwnershipWitness make_ownership_witness(
       const Utxo& utxo, const crypto::KeyPair& owner,
       const Address& mc_receiver) const;
   [[nodiscard]] const crypto::KeyPair* forger_for(const Address& addr) const;
   void refresh_consensus_epoch(std::uint64_t epoch) const;
-  /// Snapshot the node every kCheckpointInterval MC heights once fully
+  /// Checkpoint the node every kCheckpointInterval MC heights once fully
   /// forged (no pending refs).
   void maybe_checkpoint();
+  void publish_gauges();
 
   mainchain::SidechainParams mc_params_;
   LatusProofSystem proofs_;
-  LatusState state_;
   std::uint64_t slots_per_epoch_;
-
   std::vector<crypto::KeyPair> forgers_;
+
+  Mutable live_;
+
+  // Append-only logs.
   std::vector<ScBlock> chain_;
-  std::deque<std::pair<McBlockReference, std::uint64_t>> pending_refs_;
-  std::vector<PaymentTx> mempool_payments_;
-  std::vector<BackwardTransferTx> mempool_bts_;
-
-  // MC observation.
-  std::optional<std::uint64_t> last_mc_height_;
-  std::unordered_map<std::uint64_t, Digest> mc_hash_by_height_;
-
-  // Withdrawal-epoch accumulation (§5.4).
-  std::uint64_t current_we_ = 0;
-  Digest epoch_start_commitment_;
-  Digest epoch_start_mst_root_;
-  std::vector<snark::TransitionStep> epoch_steps_;
-  std::deque<EpochSnapshot> pending_certs_;
-  /// Per-certificate archive (keyed by certificate hash): the boundary
-  /// state for membership proofs and the epoch delta for Appendix-A
-  /// proofs.
-  struct CertRecord {
-    LatusState state;
-    merkle::MstDelta delta;
-  };
-  std::unordered_map<Digest, CertRecord, crypto::DigestHash> cert_states_;
-  /// Latest observed certificate (H(B_w) anchor).
-  std::optional<ObservedCert> observed_cert_;
-  /// All observed certificates in MC order (Appendix-A link chain).
+  /// All observed certificates in MC order (Appendix-A link chain); the
+  /// last one anchors BTR/CSW ownership proofs (H(B_w)).
   std::vector<ObservedCert> observed_history_;
+  /// Hashes of the observed MC blocks, [0] at height mc_hash_base_: the
+  /// first observed block's parent, then every observed block.
+  std::uint64_t mc_hash_base_ = 0;
+  std::vector<Digest> mc_hashes_;
+  /// Certificate archive, keyed by certificate hash, and its keys in
+  /// insertion order so a rollback can erase the newer records.
+  std::unordered_map<Digest, CertRecord, crypto::DigestHash> cert_states_;
+  std::vector<Digest> cert_order_;
 
-  /// Reorg checkpoints, oldest first: (last observed MC height, snapshot).
-  /// Snapshots carry an empty checkpoint list of their own; copying a
-  /// LatusNode only bumps shared_ptr refcounts here.
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<const LatusNode>>>
-      checkpoints_;
+  /// Reorg checkpoints, oldest first. Immutable, so copies of the node
+  /// share them.
+  std::vector<std::shared_ptr<const Checkpoint>> checkpoints_;
 
-  // Consensus-epoch cache (lazily refreshed; logically const).
-  mutable std::uint64_t cached_consensus_epoch_ = ~0ULL;
-  mutable StakeDistribution epoch_stake_;
-  mutable Digest epoch_rand_;
+  std::shared_ptr<obs::Registry> obs_;
+  obs::Gauge* m_checkpoints_ = nullptr;
+  obs::Gauge* m_checkpoint_bytes_ = nullptr;
+  obs::Gauge* m_chain_blocks_ = nullptr;
+  obs::Gauge* m_cert_archive_ = nullptr;
+  obs::Gauge* m_pending_certs_ = nullptr;
+  obs::Gauge* m_mc_index_ = nullptr;
 };
 
 }  // namespace zendoo::latus

@@ -32,16 +32,18 @@ struct CswProverInput {
 
 /// The base-transition circuit. Its signature memo comes from the proof
 /// system that set it up, never from the witness, so a prover can only
-/// skip checks this node already ran and passed.
+/// skip checks this node already ran and passed. It reads the transition
+/// as make_transition_step stores it.
 snark::TransitionChecker make_checker(
     std::shared_ptr<crypto::SignatureMemo> memo) {
   return [memo = std::move(memo)](const Digest& before, const Digest& after,
                                   const std::any& t) {
-    const auto* w = std::any_cast<TransitionWitness>(&t);
-    if (w == nullptr) return false;
-    LatusState state = w->before_state;
+    const auto* w =
+        std::any_cast<std::shared_ptr<const TransitionWitness>>(&t);
+    if (w == nullptr || *w == nullptr) return false;
+    LatusState state = (*w)->before_state;
     if (state.commitment() != before) return false;
-    TxVariant tx = w->tx;  // derived fields recomputed by apply
+    TxVariant tx = (*w)->tx;  // derived fields recomputed by apply
     if (!apply_transaction(state, tx, *memo).empty()) return false;
     return state.commitment() == after;
   };
@@ -117,6 +119,13 @@ bool check_ownership(const SidechainId& ledger_id, unsigned mst_depth,
 }
 
 }  // namespace
+
+snark::TransitionStep make_transition_step(const Digest& before,
+                                           const Digest& after,
+                                           TransitionWitness w) {
+  return {before, after,
+          std::make_shared<const TransitionWitness>(std::move(w))};
+}
 
 LatusProofSystem::LatusProofSystem(const SidechainId& ledger_id,
                                    unsigned mst_depth)
@@ -238,7 +247,8 @@ LatusProofSystem::LatusProofSystem(const SidechainId& ledger_id,
 snark::Proof LatusProofSystem::prove_transition(
     const Digest& before, const Digest& after,
     const TransitionWitness& w) const {
-  return transitions_.prove_base(before, after, w);
+  return transitions_.prove_base(
+      before, after, make_transition_step(before, after, w).transition);
 }
 
 std::vector<Digest> LatusProofSystem::wcert_proofdata(

@@ -25,7 +25,7 @@
 // the circuit recomputes each signing digest from the witnessed
 // transaction. The memo never travels in a TransitionWitness or
 // LatusState, so a prover cannot bring its own. Copies of the proof system
-// (a node's checkpoints) share the memo; each setup keeps its own circuit
+// (copies of a node) share the memo; each setup keeps its own circuit
 // instance (see snark::ProvingKey), so two nodes never share one.
 #pragma once
 
@@ -43,6 +43,13 @@ struct TransitionWitness {
   LatusState before_state;
   TxVariant tx;
 };
+
+/// The recursive-proof step for `w`, in the form the transition circuit
+/// reads: the step holds a std::shared_ptr<const TransitionWitness>, so
+/// its copies (a node's checkpoints and epoch snapshots) share the
+/// witness.
+[[nodiscard]] snark::TransitionStep make_transition_step(
+    const Digest& before, const Digest& after, TransitionWitness w);
 
 /// Inputs for building a withdrawal-certificate proof.
 struct WcertProofInput {

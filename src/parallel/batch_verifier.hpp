@@ -148,8 +148,6 @@ class BatchProofVerifier {
                      const Digest& msg, const crypto::Signature& sig,
                      std::string error);
 
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
-
   /// Verifies every collected check (cache-filtered, through the
   /// CheckQueue) and returns "" or the diagnostic of the check that would
   /// have failed first sequentially. Checks are cached only when the

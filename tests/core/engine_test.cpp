@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "latus/validation.hpp"
 #include "sim/workload.hpp"
 
@@ -493,6 +495,114 @@ TEST_F(EngineTest, ReorgBelowOldestCheckpointRebuildsNode) {
   EXPECT_EQ(engine_.mc().state().find_sidechain(sc_id_)->balance, 0u);
   engine_.step();
   EXPECT_EQ(engine_.mc().height(), 8u);
+}
+
+std::uint64_t gauge(Engine& engine, const mainchain::SidechainId& id,
+                    const char* name) {
+  return engine.sidechain(id).registry().value(name).value_or(0);
+}
+
+/// Long-run bound on sidechain reorg checkpoints: over thousands of MC
+/// blocks, hundreds of withdrawal epochs and periodic reorgs, what a
+/// node's checkpoints hold stays flat instead of growing with history,
+/// and completed epochs never pile up as pending certificates.
+TEST(CheckpointSoak, CheckpointBytesStayFlatOverThousandsOfBlocks) {
+  constexpr std::uint64_t kBlocks = 2'000;
+  constexpr std::uint64_t kReorgEvery = 250;
+  constexpr std::uint64_t kReorgDepth = 3;
+
+  const KeyPair miner =
+      KeyPair::from_seed(hash_str(Domain::kGeneric, "soak-m"));
+  const KeyPair rival =
+      KeyPair::from_seed(hash_str(Domain::kGeneric, "soak-r"));
+  Engine engine(mainchain::ChainParams{}, miner);
+  const std::vector<KeyPair> users = sim::make_keys(4, 2026);
+  // The live sidechain certifies every 6-block epoch (333 of them); its
+  // window spans the next epoch, so a reorg never closes it. The other
+  // withholds its certificates and ceases after its first window.
+  const auto live = hash_str(Domain::kGeneric, "soak-live");
+  const auto ceasing = hash_str(Domain::kGeneric, "soak-ceasing");
+  engine.add_latus_sidechain(live, /*start_block=*/2, /*epoch_len=*/6,
+                             /*submit_len=*/6, users, /*mst_depth=*/10,
+                             /*slots_per_epoch=*/8);
+  engine.add_latus_sidechain(ceasing, /*start_block=*/2, /*epoch_len=*/4,
+                             /*submit_len=*/2, users, /*mst_depth=*/10,
+                             /*slots_per_epoch=*/8);
+  engine.set_auto_certificates(ceasing, false);
+  engine.step();
+  ASSERT_EQ(sim::fund_users(engine, ceasing, users, 50'000), users.size());
+  engine.step();
+  ASSERT_EQ(sim::fund_users(engine, live, users, 50'000), users.size());
+  engine.step();
+
+  std::vector<std::uint64_t> live_bytes, ceasing_bytes;
+  auto sample = [&] {
+    live_bytes.push_back(gauge(engine, live, "sc.checkpoint_bytes"));
+    ceasing_bytes.push_back(gauge(engine, ceasing, "sc.checkpoint_bytes"));
+    EXPECT_LE(gauge(engine, live, "sc.pending_certs"), 2u);
+    EXPECT_LE(gauge(engine, ceasing, "sc.pending_certs"), 2u);
+  };
+
+  std::uint64_t reorgs = 0;
+  while (engine.mc().height() < kBlocks) {
+    // Stationary traffic: per block one FT in, one 1-in/1-out payment and
+    // one BT out, rotating over the users.
+    const std::uint64_t h = engine.mc().height();
+    const KeyPair& to = users[h % 4];
+    const KeyPair& payer = users[(h + 1) % 4];
+    const KeyPair& burner = users[(h + 3) % 4];
+    engine.queue_forward_transfer(live, to.address(), to.address(), 1'000);
+    latus::LatusNode& node = engine.sidechain(live);
+    if (auto coins = node.state().utxos_of(payer.address()); !coins.empty()) {
+      node.submit_payment(latus::build_payment(
+          {coins.front()}, payer,
+          {{users[(h + 2) % 4].address(), coins.front().amount}}));
+    }
+    if (auto coins = node.state().utxos_of(burner.address()); !coins.empty()) {
+      node.submit_backward_transfer(latus::build_backward_transfer(
+          {coins.front()}, burner,
+          {{burner.address(), coins.front().amount}}));
+    }
+    engine.step();
+    sample();
+
+    if (engine.mc().height() % kReorgEvery == 0) {
+      // A rival branch forking kReorgDepth blocks below the tip overtakes
+      // it by one block.
+      const std::uint64_t tip = engine.mc().height();
+      Digest prev = engine.mc().hash_at_height(tip - kReorgDepth);
+      for (std::uint64_t r = tip - kReorgDepth + 1; r <= tip + 1; ++r) {
+        mainchain::Block blk = rival_block(engine, prev, r, rival.address());
+        prev = blk.hash();
+        ASSERT_TRUE(engine.submit_external_block(blk).accepted());
+      }
+      ASSERT_EQ(engine.mc().tip_hash(), prev);
+      ++reorgs;
+      sample();
+    }
+  }
+  EXPECT_EQ(reorgs, kBlocks / kReorgEvery);
+  const auto* sc = engine.mc().state().find_sidechain(live);
+  ASSERT_NE(sc, nullptr);
+  EXPECT_FALSE(sc->ceased);
+  EXPECT_GE(*sc->last_finalized_epoch, 300u);
+  EXPECT_TRUE(engine.mc().state().find_sidechain(ceasing)->ceased);
+  EXPECT_GT(engine.sidechain(live).state().mst().occupied_count(), 0u);
+
+  // The checkpoints' footprint over the last quarter stays within 1.25x of
+  // the second quarter's.
+  for (const auto* bytes : {&live_bytes, &ceasing_bytes}) {
+    const std::size_t q = bytes->size() / 4;
+    const std::uint64_t second =
+        *std::max_element(bytes->begin() + static_cast<std::ptrdiff_t>(q),
+                          bytes->begin() + static_cast<std::ptrdiff_t>(2 * q));
+    const std::uint64_t last =
+        *std::max_element(bytes->end() - static_cast<std::ptrdiff_t>(q),
+                          bytes->end());
+    EXPECT_GT(second, 0u);
+    EXPECT_LE(static_cast<double>(last), 1.25 * static_cast<double>(second))
+        << "second quarter " << second << ", last quarter " << last;
+  }
 }
 
 }  // namespace
