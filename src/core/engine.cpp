@@ -17,20 +17,12 @@ latus::LatusNode& Engine::add_latus_sidechain(
   if (sidechains_.contains(id)) {
     throw std::invalid_argument("Engine: sidechain id already added");
   }
-  ScEntry entry;
-  entry.node = std::make_unique<latus::LatusNode>(
+  auto node = std::make_unique<latus::LatusNode>(
       id, start_block, epoch_len, submit_len, mst_depth, slots_per_epoch);
-  entry.start_block = start_block;
-  entry.epoch_len = epoch_len;
-  entry.submit_len = submit_len;
-  entry.mst_depth = mst_depth;
-  entry.slots_per_epoch = slots_per_epoch;
-  entry.forgers = forgers;
-  for (const auto& key : forgers) entry.node->add_forger(key);
-  entry.synced_height = chain_.height();
-
-  mempool_.sidechain_creations.push_back(entry.node->mc_params());
-  auto [it, _] = sidechains_.emplace(id, std::move(entry));
+  for (const auto& key : forgers) node->add_forger(key);
+  mempool_.sidechain_creations.push_back(node->mc_params());
+  auto [it, _] =
+      sidechains_.emplace(id, ScEntry{std::move(node), chain_.height()});
   return *it->second.node;
 }
 
@@ -42,16 +34,6 @@ latus::LatusNode& Engine::sidechain(const SidechainId& id) {
   return *it->second.node;
 }
 
-void Engine::sync_entry(ScEntry& entry, const mainchain::Block& block) {
-  if (std::string err = entry.node->observe_mc_block(block); !err.empty()) {
-    throw std::logic_error("Engine: sidechain observe failed: " + err);
-  }
-  if (std::string err = entry.node->forge_until_synced(); !err.empty()) {
-    throw std::logic_error("Engine: sidechain forge failed: " + err);
-  }
-  entry.synced_height = block.header.height;
-}
-
 mainchain::Block Engine::step() {
   mainchain::Block block;
   auto result = miner_.mine_and_submit(mempool_, &block);
@@ -59,17 +41,7 @@ mainchain::Block Engine::step() {
     throw std::logic_error("Engine: mining failed: " + result.error);
   }
   mempool_.clear();
-
-  for (auto& [id, entry] : sidechains_) {
-    sync_entry(entry, block);
-    // Queue any certificates whose epoch just completed; the next MC block
-    // lands inside the submission window.
-    while (entry.auto_certificates) {
-      auto cert = entry.node->build_certificate();
-      if (!cert) break;
-      mempool_.certificates.push_back(std::move(*cert));
-    }
-  }
+  resync_sidechains_after_reorg();
   return block;
 }
 
@@ -81,9 +53,6 @@ mainchain::Blockchain::SubmitResult Engine::submit_external_block(
     const mainchain::Block& block) {
   auto result = chain_.submit_block(block);
   if (result.accepted() && (result.connected > 0 || result.reorged)) {
-    // resync handles plain catch-up and reorgs alike: it walks back to
-    // the fork point between what each node observed and the new active
-    // chain, then replays forward.
     resync_sidechains_after_reorg();
   }
   return result;
@@ -110,53 +79,41 @@ void Engine::set_auto_certificates(const SidechainId& id, bool enabled) {
 
 void Engine::resync_sidechains_after_reorg() {
   for (auto& [id, entry] : sidechains_) {
-    // Fork point between what this node observed and the new active
-    // chain: the highest observed height whose hash is still active.
-    std::uint64_t top = std::min(entry.synced_height, chain_.height());
-    std::uint64_t fork_height = 0;
-    for (std::uint64_t h = top; h >= 1; --h) {
-      auto seen = entry.node->observed_mc_hash(h);
-      if (seen && *seen == chain_.hash_at_height(h)) {
-        fork_height = h;
-        break;
+    latus::LatusNode& node = *entry.node;
+    std::optional<std::uint64_t> synced = node.last_observed_mc_height();
+    if (synced) {
+      // Fork point between what the node observed and the active chain:
+      // the highest observed height whose hash is still active. The node
+      // observed nothing at or below added_at.
+      std::uint64_t fork = std::min(*synced, chain_.height());
+      while (fork > entry.added_at &&
+             node.observed_mc_hash(fork) != chain_.hash_at_height(fork)) {
+        --fork;
       }
+      if (fork < *synced) synced = node.rollback_to_mc_ancestor(fork);
     }
 
-    std::uint64_t replay_from;
-    if (fork_height == entry.synced_height) {
-      // Nothing the node observed was rolled back; just catch up.
-      replay_from = fork_height + 1;
-    } else if (auto restored =
-                   entry.node->rollback_to_mc_ancestor(fork_height)) {
-      replay_from = *restored + 1;
-    } else {
-      // No retained checkpoint covers the fork point: rebuild from
-      // scratch (the pre-checkpoint fallback path).
-      auto fresh = std::make_unique<latus::LatusNode>(
-          id, entry.start_block, entry.epoch_len, entry.submit_len,
-          entry.mst_depth, entry.slots_per_epoch);
-      for (const auto& key : entry.forgers) fresh->add_forger(key);
-      entry.node = std::move(fresh);
-      replay_from = 1;
-    }
-
-    entry.synced_height = replay_from - 1;
-    for (std::uint64_t h = replay_from; h <= chain_.height(); ++h) {
+    for (std::uint64_t h = synced.value_or(entry.added_at) + 1;
+         h <= chain_.height(); ++h) {
       const mainchain::Block* b = chain_.find_block(chain_.hash_at_height(h));
       if (b == nullptr) {
         throw std::logic_error("Engine: active chain block missing");
       }
-      sync_entry(entry, *b);
-      while (entry.auto_certificates) {
-        auto cert = entry.node->build_certificate();
-        if (!cert) break;
-        // Certificates for already-finalized epochs would be rejected by
-        // the MC (outside their window); only re-queue fresh ones.
-        const auto* sc = chain_.state().find_sidechain(id);
-        if (sc != nullptr && !sc->ceased) {
-          mempool_.certificates.push_back(std::move(*cert));
-        }
+      if (std::string err = node.observe_mc_block(*b); !err.empty()) {
+        throw std::logic_error("Engine: sidechain observe failed: " + err);
       }
+      if (std::string err = node.forge_until_synced(); !err.empty()) {
+        throw std::logic_error("Engine: sidechain forge failed: " + err);
+      }
+    }
+
+    // The next MC block lands inside the submission window of an epoch
+    // that just completed (§4.1.2); a ceased or unregistered sidechain
+    // takes no certificate.
+    const auto* sc = chain_.state().find_sidechain(id);
+    if (!entry.auto_certificates || sc == nullptr || sc->ceased) continue;
+    while (auto cert = node.build_certificate()) {
+      mempool_.certificates.push_back(std::move(*cert));
     }
   }
 }

@@ -68,32 +68,29 @@ class Engine {
   /// ceased-sidechain handling (Def 4.2) and CSWs.
   void set_auto_certificates(const SidechainId& id, bool enabled);
 
-  /// Re-sync every sidechain node with the (possibly reorged) MC active
-  /// chain — the §5.1 "mainchain forks resolution" behaviour: SC blocks
-  /// that referenced rolled-back MC blocks are unwound, and the sidechain
-  /// re-syncs along the new branch. Each node is rolled back to its
-  /// newest checkpoint at or below the fork point and replays only the
-  /// blocks after it (LatusNode::rollback_to_mc_ancestor); nodes whose
-  /// fork point undercuts every retained checkpoint are rebuilt from
-  /// scratch. A rollback truncates the node's append-only logs and
-  /// restores the small mutable part the checkpoint copied, so it costs
-  /// the same however long the node's history. SC-local mempool content
-  /// submitted after the restored checkpoint is dropped.
+  /// Bring every sidechain node to the MC active tip: the one sync path,
+  /// behind step() and submit_external_block() too, and the §5.1
+  /// "mainchain forks resolution" behaviour. Each node rolls back to its
+  /// newest checkpoint at or below the fork point between what it
+  /// observed and the active chain (LatusNode::rollback_to_mc_ancestor;
+  /// the base checkpoint covers any fork point), unwinding the SC blocks
+  /// that referenced rolled-back MC blocks, then observes and forges every
+  /// active block after what it still holds; a plain catch-up is the
+  /// zero-depth case. At the tip, a node that certifies queues its
+  /// completed epochs' certificates while its sidechain can take them.
+  /// A rollback costs the same however long the node's history; SC-local
+  /// mempool content submitted after the restored checkpoint is dropped.
   void resync_sidechains_after_reorg();
 
  private:
+  /// One sidechain node, never replaced: its own checkpoints and MC hash
+  /// index are the only record of what it has synced.
   struct ScEntry {
     std::unique_ptr<latus::LatusNode> node;
-    // Construction arguments, kept for reorg resync.
-    std::uint64_t start_block, epoch_len, submit_len;
-    unsigned mst_depth;
-    std::uint64_t slots_per_epoch;
-    std::vector<crypto::KeyPair> forgers;
-    std::uint64_t synced_height = 0;  ///< last MC height fed to the node
+    /// MC height when the node was added: it observes only later blocks.
+    std::uint64_t added_at = 0;
     bool auto_certificates = true;
   };
-
-  void sync_entry(ScEntry& entry, const mainchain::Block& block);
 
   mainchain::Blockchain chain_;
   crypto::KeyPair miner_key_;

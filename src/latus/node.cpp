@@ -30,6 +30,9 @@ LatusNode::LatusNode(const SidechainId& ledger_id, std::uint64_t start_block,
 
   live_.epoch_start_commitment = live_.state.commitment();
   live_.epoch_start_mst_root = live_.state.mst().root();
+  checkpoints_.push_back(
+      std::make_shared<const Checkpoint>(Checkpoint{LogLengths{}, live_}));
+  publish_gauges();
 }
 
 void LatusNode::add_forger(const crypto::KeyPair& key) {
@@ -110,13 +113,26 @@ std::string LatusNode::observe_mc_block(const mainchain::Block& block) {
     observed_history_.push_back(
         ObservedCert{*ref.wcert, block.header, *ref.mproof});
   }
+  // A pending epoch leaves once no block can carry its certificate any
+  // more (Def 4.2), or once this block carries one for it that ours could
+  // not replace (§4.1.2). When that one is the certificate this node would
+  // build, it is archived as build_certificate would archive it: BTR/CSW
+  // proofs against it need the boundary state.
+  const auto& wcert = ref.wcert;
+  std::erase_if(live_.pending_certs, [&](const auto& snap) {
+    if (h >= mc_params_.cert_window_end(snap->we_epoch)) return true;
+    if (!wcert || wcert->epoch_id != snap->we_epoch ||
+        wcert->quality < snap->quality) {
+      return false;
+    }
+    if (wcert->quality == snap->quality && wcert->bt_list == snap->bt_list &&
+        wcert->proofdata ==
+            LatusProofSystem::wcert_proofdata(snap->proof_input())) {
+      archive(wcert->hash(), *snap);
+    }
+    return true;
+  });
   live_.pending_refs.emplace_back(std::move(ref), h);
-  // From here on no block can carry these epochs' certificates (Def 4.2).
-  auto& pending = live_.pending_certs;
-  while (!pending.empty() &&
-         h >= mc_params_.cert_window_end(pending.front()->we_epoch)) {
-    pending.pop_front();
-  }
   publish_gauges();
   return "";
 }
@@ -313,28 +329,23 @@ void LatusNode::maybe_checkpoint() {
   if (!live_.last_mc_height) return;
   std::uint64_t h = *live_.last_mc_height;
   if (h % kCheckpointInterval != 0) return;
-  if (!checkpoints_.empty() && checkpoints_.back()->mc_height >= h) return;
+  if (checkpoints_.back()->live.last_mc_height >= h) return;
   LogLengths logs{chain_.size(), observed_history_.size(), mc_hashes_.size(),
                   cert_order_.size()};
   checkpoints_.push_back(
-      std::make_shared<const Checkpoint>(Checkpoint{h, logs, live_}));
-  if (checkpoints_.size() > kMaxCheckpoints) {
-    checkpoints_.erase(checkpoints_.begin());
+      std::make_shared<const Checkpoint>(Checkpoint{logs, live_}));
+  if (checkpoints_.size() > kMaxCheckpoints + 1) {
+    checkpoints_.erase(checkpoints_.begin() + 1);  // never the base
   }
   publish_gauges();
 }
 
 std::optional<std::uint64_t> LatusNode::rollback_to_mc_ancestor(
     std::uint64_t mc_height) {
-  // Newest checkpoint at or below the fork point.
-  std::size_t pick = checkpoints_.size();
-  for (std::size_t i = checkpoints_.size(); i-- > 0;) {
-    if (checkpoints_[i]->mc_height <= mc_height) {
-      pick = i;
-      break;
-    }
-  }
-  if (pick == checkpoints_.size()) return std::nullopt;
+  // Newest checkpoint at or below the fork point; the base checkpoint
+  // observed nothing, so the search stops there at the latest.
+  std::size_t pick = checkpoints_.size() - 1;
+  while (checkpoints_[pick]->live.last_mc_height > mc_height) --pick;
 
   // Every newer checkpoint goes, so the logs of those kept stay prefixes
   // of the live ones.
@@ -349,7 +360,7 @@ std::optional<std::uint64_t> LatusNode::rollback_to_mc_ancestor(
   cert_order_.resize(cp.logs.cert_records);
   live_ = cp.live;
   publish_gauges();
-  return cp.mc_height;
+  return live_.last_mc_height;
 }
 
 void LatusNode::publish_gauges() {
@@ -373,21 +384,7 @@ std::optional<mainchain::WithdrawalCertificate> LatusNode::build_certificate(
   live_.pending_certs.pop_front();
   const EpochSnapshot& snap = *shared;
 
-  WcertProofInput in;
-  in.state_before = snap.state_before;
-  in.state_after = snap.state_after;
-  in.mst_root_before = snap.mst_root_before;
-  in.mst_root_after = snap.mst_root_after;
-  in.sb_last_hash = snap.sb_last_hash;
-  in.delta_hash = snap.delta_hash;
-  in.quality = snap.quality;
-  in.prev_epoch_last_mc = snap.prev_epoch_last_mc;
-  in.epoch_last_mc = snap.epoch_last_mc;
-  {
-    std::vector<Digest> leaves;
-    for (const auto& bt : snap.bt_list) leaves.push_back(bt.leaf_hash());
-    in.bt_root = merkle::merkle_root(leaves);
-  }
+  WcertProofInput in = snap.proof_input();
   if (!snap.steps.empty()) {
     // The recursive composition of Figs. 10/11: base proof per transaction,
     // balanced merge tree up to the single epoch proof.
@@ -402,12 +399,33 @@ std::optional<mainchain::WithdrawalCertificate> LatusNode::build_certificate(
   cert.proofdata = LatusProofSystem::wcert_proofdata(in);
   cert.proof = proofs_.prove_wcert(in);
 
-  // A checkpoint may still hold the snapshot, so the archive copies it.
-  auto [it, inserted] = cert_states_.emplace(
-      cert.hash(), CertRecord{*snap.boundary_state, snap.delta});
-  if (inserted) cert_order_.push_back(it->first);
+  archive(cert.hash(), snap);
   publish_gauges();
   return cert;
+}
+
+WcertProofInput LatusNode::EpochSnapshot::proof_input() const {
+  WcertProofInput in;
+  in.state_before = state_before;
+  in.state_after = state_after;
+  in.mst_root_before = mst_root_before;
+  in.mst_root_after = mst_root_after;
+  in.sb_last_hash = sb_last_hash;
+  in.delta_hash = delta_hash;
+  in.quality = quality;
+  in.prev_epoch_last_mc = prev_epoch_last_mc;
+  in.epoch_last_mc = epoch_last_mc;
+  std::vector<Digest> leaves;
+  for (const auto& bt : bt_list) leaves.push_back(bt.leaf_hash());
+  in.bt_root = merkle::merkle_root(leaves);
+  return in;
+}
+
+void LatusNode::archive(const Digest& cert_hash, const EpochSnapshot& snap) {
+  // A checkpoint may still hold the snapshot, so the archive copies it.
+  auto [it, inserted] = cert_states_.emplace(
+      cert_hash, CertRecord{*snap.boundary_state, snap.delta});
+  if (inserted) cert_order_.push_back(it->first);
 }
 
 OwnershipWitness LatusNode::make_ownership_witness(

@@ -25,10 +25,13 @@ namespace zendoo::latus {
 class LatusNode {
  public:
   /// MC reorg handling (§5.1 "Mainchain forks resolution"): the node
-  /// checkpoints itself every kCheckpointInterval observed MC blocks
-  /// (bounded ring of kMaxCheckpoints), so a rollback to a fork point
-  /// restores the newest covering checkpoint and replays only the MC
-  /// blocks after it — instead of rebuilding from genesis.
+  /// checkpoints itself once at construction (the base checkpoint, which
+  /// has observed nothing) and every kCheckpointInterval observed MC
+  /// blocks (a ring of kMaxCheckpoints that never evicts the base), so a
+  /// rollback to any fork point restores the newest covering checkpoint
+  /// and the caller replays only the MC blocks after it. The node object
+  /// and what it keeps across checkpoints, its forger keys, survive
+  /// every reorg.
   ///
   /// A checkpoint is an undo record, not a copy of the node. The node's
   /// data splits in two:
@@ -65,10 +68,11 @@ class LatusNode {
   [[nodiscard]] bool has_pending_refs() const {
     return !live_.pending_refs.empty();
   }
-  /// Completed epochs whose certificate can still be built: a snapshot
-  /// leaves once the node observes an MC block at or past its epoch's
-  /// cert_window_end, since no such certificate can be accepted then
-  /// (Def 4.2).
+  /// Completed epochs whose certificate can still be built and accepted:
+  /// a snapshot leaves once the node observes an MC block at or past its
+  /// epoch's cert_window_end (Def 4.2), or one carrying a certificate for
+  /// its epoch of at least its quality, which ours could not replace
+  /// (§4.1.2).
   [[nodiscard]] std::size_t pending_certificates() const {
     return live_.pending_certs.size();
   }
@@ -140,20 +144,21 @@ class LatusNode {
       std::uint64_t h) const;
 
   /// Rolls the node back to the newest checkpoint whose last observed MC
-  /// height is <= mc_height (the fork point of a reorg). Returns the
-  /// restored observation height — the caller replays the new active
-  /// branch from the block after it — or nullopt when no retained
-  /// checkpoint is old enough (the node must be rebuilt from scratch).
+  /// height is <= mc_height (the fork point of a reorg); the base
+  /// checkpoint covers every fork point. Returns the last observed MC
+  /// height after the restore — the caller replays the new active branch
+  /// from the block after it — or nullopt when the node has observed
+  /// nothing any more (the base checkpoint was restored).
   [[nodiscard]] std::optional<std::uint64_t> rollback_to_mc_ancestor(
       std::uint64_t mc_height);
 
   // ---- Observability ----
   //
   // "sc." gauges (all kStable), refreshed by every call that changes
-  // them: sc.checkpoints, sc.checkpoint_bytes (each checkpoint's size
-  // plus its Mutable::dynamic_usage), sc.chain_blocks, sc.cert_archive,
-  // sc.pending_certs and sc.mc_index. Copies of a node share its
-  // registry, as Blockchain copies do.
+  // them: sc.checkpoints (the base included), sc.checkpoint_bytes (each
+  // checkpoint's size plus its Mutable::dynamic_usage), sc.chain_blocks,
+  // sc.cert_archive, sc.pending_certs and sc.mc_index. Copies of a node
+  // share its registry, as Blockchain copies do.
   [[nodiscard]] obs::Registry& registry() { return *obs_; }
   [[nodiscard]] const obs::Registry& registry() const { return *obs_; }
 
@@ -175,6 +180,9 @@ class LatusNode {
     std::optional<LatusState> boundary_state;
     /// Full epoch delta (whose hash is delta_hash), for Appendix-A proofs.
     merkle::MstDelta delta;
+
+    /// The certificate's statement inputs, all but the epoch proof.
+    [[nodiscard]] WcertProofInput proof_input() const;
   };
 
   struct ObservedCert {
@@ -231,7 +239,6 @@ class LatusNode {
   };
 
   struct Checkpoint {
-    std::uint64_t mc_height = 0;  ///< last observed MC height
     LogLengths logs;
     Mutable live;
   };
@@ -244,6 +251,9 @@ class LatusNode {
   /// Checkpoint the node every kCheckpointInterval MC heights once fully
   /// forged (no pending refs).
   void maybe_checkpoint();
+  /// Archive `snap`'s boundary state and delta as the record of the
+  /// certificate `cert_hash`.
+  void archive(const Digest& cert_hash, const EpochSnapshot& snap);
   void publish_gauges();
 
   mainchain::SidechainParams mc_params_;
@@ -267,8 +277,8 @@ class LatusNode {
   std::unordered_map<Digest, CertRecord, crypto::DigestHash> cert_states_;
   std::vector<Digest> cert_order_;
 
-  /// Reorg checkpoints, oldest first. Immutable, so copies of the node
-  /// share them.
+  /// Reorg checkpoints, oldest first: the base, then the periodic ones.
+  /// Immutable, so copies of the node share them.
   std::vector<std::shared_ptr<const Checkpoint>> checkpoints_;
 
   std::shared_ptr<obs::Registry> obs_;

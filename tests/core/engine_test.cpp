@@ -42,6 +42,22 @@ class EngineTest : public ::testing::Test {
     while (engine_.mc().height() < h) engine_.step();
   }
 
+  /// The paper's receiving-node role: a fresh ScValidator fed the node's
+  /// whole chain accepts every block and ends on the node's state.
+  static void expect_chain_validates(const LatusNode& node,
+                                     const KeyPair& bootstrap_forger,
+                                     std::uint64_t slots_per_epoch = 8) {
+    const mainchain::SidechainParams& p = node.mc_params();
+    latus::ScValidator validator(p.ledger_id, node.state().depth(),
+                                 slots_per_epoch, bootstrap_forger.address(),
+                                 p.start_block, p.epoch_len);
+    for (const latus::ScBlock& b : node.chain()) {
+      ASSERT_EQ(validator.accept(b), "") << "SC height " << b.header.height;
+    }
+    EXPECT_EQ(validator.height(), node.height());
+    EXPECT_EQ(validator.state().commitment(), node.state().commitment());
+  }
+
   KeyPair miner_key_, alice_, bob_;
   Engine engine_;
   mainchain::SidechainId sc_id_;
@@ -268,14 +284,7 @@ TEST_F(EngineTest, ExternalValidatorAuditsWholeRun) {
     engine_.step();
   }
   ASSERT_FALSE(engine_.mc().state().find_sidechain(sc_id_)->ceased);
-
-  latus::ScValidator validator(sc_id_, 10, 8, alice_.address(),
-                               /*start_block=*/2, /*epoch_len=*/4);
-  for (const latus::ScBlock& b : node.chain()) {
-    ASSERT_EQ(validator.accept(b), "") << "SC height " << b.header.height;
-  }
-  EXPECT_EQ(validator.height(), node.height());
-  EXPECT_EQ(validator.state().commitment(), node.state().commitment());
+  expect_chain_validates(node, alice_);
 }
 
 TEST_F(EngineTest, HistoricalCswAcrossEpochs) {
@@ -362,6 +371,7 @@ TEST_F(EngineTest, ReorgResyncFollowsActiveChain) {
   latus::LatusNode& fresh = engine_.sidechain(sc_id_);
   // The FT was only on the abandoned branch: gone after the resync.
   EXPECT_EQ(fresh.state().balance_of(alice_.address()), 0u);
+  expect_chain_validates(fresh, alice_);
 }
 
 /// Hand-built empty rival block for reorg tests.
@@ -438,6 +448,7 @@ TEST_F(EngineTest, DeepReorgResyncRollsBackToCheckpoint) {
   EXPECT_EQ(resynced.height(), fresh.height());
   ASSERT_FALSE(fresh.chain().empty());
   EXPECT_EQ(resynced.chain().back().hash(), fresh.chain().back().hash());
+  expect_chain_validates(resynced, alice_);
 
   // The engine keeps running on the new branch.
   engine_.step();
@@ -462,11 +473,13 @@ TEST_F(EngineTest, ResyncHonoursDisabledAutoCertificates) {
   }
   engine_.resync_sidechains_after_reorg();
   EXPECT_TRUE(engine_.mempool().certificates.empty());
+  expect_chain_validates(engine_.sidechain(sc_id_), alice_);
 }
 
-TEST_F(EngineTest, ReorgBelowOldestCheckpointRebuildsNode) {
-  // Fork below every retained checkpoint: resync falls back to a full
-  // rebuild and still lands on the correct state.
+TEST_F(EngineTest, ReorgBelowOldestCheckpointRestoresBaseCheckpoint) {
+  // Fork below every periodic checkpoint: resync restores the node's base
+  // checkpoint, replays from the node's first MC block and still lands on
+  // the correct state.
   sc_id_ = hash_str(Domain::kGeneric, "sc-rebuild");
   engine_.add_latus_sidechain(sc_id_, /*start_block=*/2, /*epoch_len=*/40,
                               /*submit_len=*/20, {alice_}, /*mst_depth=*/10,
@@ -493,8 +506,132 @@ TEST_F(EngineTest, ReorgBelowOldestCheckpointRebuildsNode) {
   // The FT was above the fork: gone on the new branch.
   EXPECT_EQ(resynced.state().balance_of(alice_.address()), 0u);
   EXPECT_EQ(engine_.mc().state().find_sidechain(sc_id_)->balance, 0u);
+  expect_chain_validates(resynced, alice_);
   engine_.step();
   EXPECT_EQ(engine_.mc().height(), 8u);
+}
+
+TEST_F(EngineTest, ForgerAddedAfterCreationSurvivesReorgBelowEveryCheckpoint) {
+  // A key registered after creation belongs to the node, which a reorg
+  // below every periodic checkpoint keeps. Two-slot consensus epochs soon
+  // make bob, who holds all the stake, every slot's leader.
+  sc_id_ = hash_str(Domain::kGeneric, "sc-late-forger");
+  LatusNode& node = engine_.add_latus_sidechain(
+      sc_id_, /*start_block=*/2, /*epoch_len=*/40, /*submit_len=*/20,
+      {alice_}, /*mst_depth=*/10, /*slots_per_epoch=*/2);
+  node.add_forger(bob_);
+  engine_.step();
+  ASSERT_TRUE(engine_.queue_forward_transfer(sc_id_, bob_.address(),
+                                             miner_key_.address(), 5'000));
+  run_to_height(6);  // FT at height 2; no periodic checkpoint yet
+
+  Digest prev = engine_.mc().hash_at_height(3);
+  for (std::uint64_t h = 4; h <= 7; ++h) {
+    mainchain::Block blk = rival_block(engine_, prev, h, bob_.address());
+    prev = blk.hash();
+    auto result = engine_.mc().submit_block(blk);
+    ASSERT_TRUE(result.accepted()) << result.error;
+  }
+  ASSERT_EQ(engine_.mc().height(), 7u);
+
+  ASSERT_NO_THROW(engine_.resync_sidechains_after_reorg());
+  EXPECT_EQ(&engine_.sidechain(sc_id_), &node);
+  EXPECT_EQ(node.last_observed_mc_height(), std::optional<std::uint64_t>(7));
+  EXPECT_EQ(node.state().balance_of(bob_.address()), 5'000u);
+  expect_chain_validates(node, alice_, /*slots_per_epoch=*/2);
+}
+
+TEST_F(EngineTest, SidechainAddedLateObservesOnlyLaterBlocks) {
+  // Engine b follows engine_'s first 5 blocks as a peer, then adds a
+  // sidechain: the node stays b's, and it observes block 6 on.
+  engine_.run(6);
+  auto block_at = [&](std::uint64_t h) {
+    return *engine_.mc().find_block(engine_.mc().hash_at_height(h));
+  };
+  Engine b(mainchain::ChainParams{}, bob_);
+  for (std::uint64_t h = 1; h <= 5; ++h) {
+    ASSERT_TRUE(b.submit_external_block(block_at(h)).accepted());
+  }
+  sc_id_ = hash_str(Domain::kGeneric, "sc-added-late");
+  LatusNode& node = b.add_latus_sidechain(
+      sc_id_, /*start_block=*/10, /*epoch_len=*/4, /*submit_len=*/2, {alice_},
+      /*mst_depth=*/10, /*slots_per_epoch=*/8);
+  ASSERT_TRUE(b.submit_external_block(block_at(6)).accepted());
+
+  const LatusNode& synced = b.sidechain(sc_id_);
+  EXPECT_EQ(&synced, &node);
+  // Block 5, the first observed block's parent, and block 6.
+  EXPECT_EQ(synced.registry().value("sc.mc_index"), 2u);
+  EXPECT_EQ(synced.last_observed_mc_height(),
+            std::optional<std::uint64_t>(6));
+}
+
+TEST_F(EngineTest, ResyncQueuesNoCertificateOfAFinalizedEpoch) {
+  // Epoch 1 (heights 6..9) is certified at 10 and finalized at 12. A
+  // reorg at 13 rolls the node back to checkpoint 8, so the replay passes
+  // epoch 1's boundary and the block carrying its certificate again.
+  LatusNode& node = standard_sidechain("sc-finalized");
+  engine_.step();
+  engine_.queue_forward_transfer(sc_id_, alice_.address(),
+                                 miner_key_.address(), 10'000);
+  run_to_height(14);  // FT at height 2; epoch 2's certificate mined at 14
+
+  Digest prev = engine_.mc().hash_at_height(13);
+  for (std::uint64_t h = 14; h <= 15; ++h) {
+    mainchain::Block blk = rival_block(engine_, prev, h, bob_.address());
+    prev = blk.hash();
+    auto result = engine_.mc().submit_block(blk);
+    ASSERT_TRUE(result.accepted()) << result.error;
+  }
+  ASSERT_EQ(engine_.mc().height(), 15u);
+
+  engine_.resync_sidechains_after_reorg();
+  const auto* sc = engine_.mc().state().find_sidechain(sc_id_);
+  ASSERT_EQ(sc->last_finalized_epoch, std::optional<std::uint64_t>(1));
+  for (const auto& cert : engine_.mempool().certificates) {
+    EXPECT_GT(cert.epoch_id, 1u);
+  }
+  expect_chain_validates(node, alice_);
+}
+
+TEST_F(EngineTest, ResyncQueuesNoCertificateTheActiveChainCarries) {
+  // 8-block epochs, 4-block windows: epoch 0 (heights 2..9) is certified
+  // at 10, below a reorg at 11. Replaying from checkpoint 8, the node
+  // passes epoch 0's boundary and then that certificate, which none of
+  // its own could replace (§4.1.2).
+  sc_id_ = hash_str(Domain::kGeneric, "sc-certified");
+  LatusNode& node = engine_.add_latus_sidechain(
+      sc_id_, /*start_block=*/2, /*epoch_len=*/8, /*submit_len=*/4, {alice_},
+      /*mst_depth=*/10, /*slots_per_epoch=*/8);
+  engine_.step();
+  engine_.queue_forward_transfer(sc_id_, alice_.address(),
+                                 miner_key_.address(), 10'000);
+  run_to_height(12);  // FT at height 2
+  const auto* sc = engine_.mc().state().find_sidechain(sc_id_);
+  ASSERT_TRUE(sc->pending_cert.has_value());
+  ASSERT_EQ(sc->pending_cert->epoch_id, 0u);
+
+  Digest prev = engine_.mc().hash_at_height(11);
+  for (std::uint64_t h = 12; h <= 13; ++h) {
+    mainchain::Block blk = rival_block(engine_, prev, h, bob_.address());
+    prev = blk.hash();
+    auto result = engine_.mc().submit_block(blk);
+    ASSERT_TRUE(result.accepted()) << result.error;
+  }
+  ASSERT_EQ(engine_.mc().height(), 13u);
+
+  engine_.resync_sidechains_after_reorg();
+  EXPECT_TRUE(engine_.mempool().certificates.empty());
+  expect_chain_validates(node, alice_);
+
+  // The node archived that certificate's boundary state while replaying,
+  // so a BTR against it still proves and is mined.
+  auto coins = node.state().utxos_of(alice_.address());
+  ASSERT_EQ(coins.size(), 1u);
+  engine_.mempool().btrs.push_back(
+      node.create_btr(coins[0], alice_, alice_.address()));
+  mainchain::Block next = engine_.step();
+  EXPECT_EQ(next.btrs.size(), 1u);
 }
 
 std::uint64_t gauge(Engine& engine, const mainchain::SidechainId& id,

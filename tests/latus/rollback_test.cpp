@@ -207,7 +207,7 @@ TEST_F(RollbackTest, RollbackAcrossCertificateMatchesCheckpointCopy) {
     }
   }
   ASSERT_EQ(node_.pending_certificates(), 1u);
-  ASSERT_EQ(node_.registry().value("sc.checkpoints"), 2u);
+  ASSERT_EQ(node_.registry().value("sc.checkpoints"), 3u);
 
   // A full copy of the node at the checkpoint: what a rollback to it must
   // reproduce.
