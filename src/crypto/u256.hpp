@@ -35,8 +35,6 @@ struct u256 {
     return (limb[i / 64] >> (i % 64)) & 1;
   }
 
-  constexpr void set_bit(unsigned i) { limb[i / 64] |= 1ULL << (i % 64); }
-
   /// Index of the highest set bit, or -1 for zero.
   [[nodiscard]] int highest_bit() const;
 

@@ -30,8 +30,6 @@ struct McBlockReference {
   std::optional<BtrTx> bt_requests;
   std::optional<mainchain::WithdrawalCertificate> wcert;
 
-  [[nodiscard]] Digest mc_block_hash() const { return header.hash(); }
-
   /// Verifies internal consistency for sidechain `id` (§5.5.1): the synced
   /// transactions recompute exactly the FTHash/BTRHash/WCertHash subtree
   /// committed by the MC header, or the absence proof holds and nothing is

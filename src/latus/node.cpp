@@ -125,14 +125,15 @@ std::string LatusNode::observe_mc_block(const mainchain::Block& block) {
         wcert->quality < snap->quality) {
       return false;
     }
-    if (wcert->quality == snap->quality && wcert->bt_list == snap->bt_list &&
+    if (wcert->quality == snap->quality &&
+        wcert->bt_list == snap->boundary_state.backward_transfers() &&
         wcert->proofdata ==
             LatusProofSystem::wcert_proofdata(snap->proof_input())) {
       archive(wcert->hash(), *snap);
     }
     return true;
   });
-  live_.pending_refs.emplace_back(std::move(ref), h);
+  live_.pending_refs.push_back(std::move(ref));
   publish_gauges();
   return "";
 }
@@ -188,8 +189,9 @@ std::string LatusNode::forge_block() {
   // epoch boundary block (§5.1.1's simplifying restriction).
   bool boundary = false;
   while (!live_.pending_refs.empty() && !boundary) {
-    auto [ref, mc_height] = std::move(live_.pending_refs.front());
+    McBlockReference ref = std::move(live_.pending_refs.front());
     live_.pending_refs.pop_front();
+    const std::uint64_t mc_height = ref.header.height;
     if (std::string err = ref.verify(mc_params_.ledger_id); !err.empty()) {
       return "queued MC reference invalid: " + err;
     }
@@ -257,26 +259,21 @@ std::string LatusNode::forge_block() {
   if (boundary) {
     // Snapshot everything the withdrawal certificate needs (§5.5.3.1).
     std::uint64_t we = live_.current_we;
-    auto snap = std::make_shared<EpochSnapshot>();
-    snap->we_epoch = we;
-    snap->quality = new_height;  // Latus: quality = proven SC chain height
-    snap->sb_last_hash = chain_.back().hash();
-    snap->bt_list = state.backward_transfers();
-    snap->state_after = state.commitment();
-    snap->mst_root_after = state.mst().root();
-    snap->state_before = live_.epoch_start_commitment;
-    snap->mst_root_before = live_.epoch_start_mst_root;
-    snap->delta_hash = state.delta().hash();
-    snap->delta = state.delta();
-    snap->steps = std::move(steps);
-    snap->boundary_state = state;
     auto prev_last = observed_mc_hash(
         we == 0 ? mc_params_.start_block - 1 : mc_params_.epoch_end(we - 1));
     auto last = observed_mc_hash(mc_params_.epoch_end(we));
     if (!prev_last || !last) return "missing MC epoch-boundary hashes";
-    snap->prev_epoch_last_mc = *prev_last;
-    snap->epoch_last_mc = *last;
-    live_.pending_certs.push_back(std::move(snap));
+    live_.pending_certs.push_back(std::make_shared<const EpochSnapshot>(
+        EpochSnapshot{.we_epoch = we,
+                      // Latus: quality = proven SC chain height
+                      .quality = new_height,
+                      .sb_last_hash = chain_.back().hash(),
+                      .state_before = live_.epoch_start_commitment,
+                      .mst_root_before = live_.epoch_start_mst_root,
+                      .prev_epoch_last_mc = *prev_last,
+                      .epoch_last_mc = *last,
+                      .steps = std::move(steps),
+                      .boundary_state = state}));
 
     // New withdrawal epoch: clear the BT list and delta (§5.2.1).
     steps.clear();
@@ -313,8 +310,7 @@ std::uint64_t LatusNode::Mutable::dynamic_usage() const {
          state.backward_transfers().size() *
              sizeof(mainchain::BackwardTransfer) +
          (state.delta().size() + 63) / 64 * sizeof(std::uint64_t) +
-         pending_refs.size() *
-             sizeof(std::pair<McBlockReference, std::uint64_t>) +
+         pending_refs.size() * sizeof(McBlockReference) +
          mempool_payments.size() * sizeof(PaymentTx) +
          mempool_bts.size() * sizeof(BackwardTransferTx) +
          epoch_steps.size() *
@@ -395,7 +391,7 @@ std::optional<mainchain::WithdrawalCertificate> LatusNode::build_certificate(
   cert.ledger_id = mc_params_.ledger_id;
   cert.epoch_id = snap.we_epoch;
   cert.quality = snap.quality;
-  cert.bt_list = snap.bt_list;
+  cert.bt_list = snap.boundary_state.backward_transfers();
   cert.proofdata = LatusProofSystem::wcert_proofdata(in);
   cert.proof = proofs_.prove_wcert(in);
 
@@ -407,24 +403,22 @@ std::optional<mainchain::WithdrawalCertificate> LatusNode::build_certificate(
 WcertProofInput LatusNode::EpochSnapshot::proof_input() const {
   WcertProofInput in;
   in.state_before = state_before;
-  in.state_after = state_after;
+  in.state_after = boundary_state.commitment();
   in.mst_root_before = mst_root_before;
-  in.mst_root_after = mst_root_after;
+  in.mst_root_after = boundary_state.mst().root();
   in.sb_last_hash = sb_last_hash;
-  in.delta_hash = delta_hash;
+  in.delta_hash = boundary_state.delta().hash();
   in.quality = quality;
   in.prev_epoch_last_mc = prev_epoch_last_mc;
   in.epoch_last_mc = epoch_last_mc;
-  std::vector<Digest> leaves;
-  for (const auto& bt : bt_list) leaves.push_back(bt.leaf_hash());
-  in.bt_root = merkle::merkle_root(leaves);
+  in.bt_root = boundary_state.bt_list_root();
   return in;
 }
 
 void LatusNode::archive(const Digest& cert_hash, const EpochSnapshot& snap) {
-  // A checkpoint may still hold the snapshot, so the archive copies it.
-  auto [it, inserted] = cert_states_.emplace(
-      cert_hash, CertRecord{*snap.boundary_state, snap.delta});
+  // A checkpoint may still hold the snapshot, so the archive copies its
+  // state.
+  auto [it, inserted] = cert_states_.emplace(cert_hash, snap.boundary_state);
   if (inserted) cert_order_.push_back(it->first);
 }
 
@@ -441,7 +435,7 @@ OwnershipWitness LatusNode::make_ownership_witness(
     throw std::logic_error(
         "LatusNode: no state snapshot for the observed certificate");
   }
-  const LatusState& snapshot = it->second.state;
+  const LatusState& snapshot = it->second;
   if (!snapshot.contains(utxo)) {
     throw std::invalid_argument(
         "LatusNode: UTXO not present in the last committed state");
@@ -481,7 +475,7 @@ mainchain::CeasedSidechainWithdrawal LatusNode::create_csw_historical(
   std::size_t anchor_index = observed_history_.size();
   for (std::size_t i = 0; i < observed_history_.size(); ++i) {
     auto it = cert_states_.find(observed_history_[i].cert.hash());
-    if (it != cert_states_.end() && it->second.state.contains(utxo)) {
+    if (it != cert_states_.end() && it->second.contains(utxo)) {
       anchor_index = i;
       break;
     }
@@ -496,7 +490,7 @@ mainchain::CeasedSidechainWithdrawal LatusNode::create_csw_historical(
   }
 
   const ObservedCert& anchor = observed_history_[anchor_index];
-  const CertRecord& record = cert_states_.at(anchor.cert.hash());
+  const LatusState& anchor_state = cert_states_.at(anchor.cert.hash());
 
   HistoricalOwnershipWitness w;
   w.base.utxo = utxo;
@@ -504,7 +498,7 @@ mainchain::CeasedSidechainWithdrawal LatusNode::create_csw_historical(
   w.base.sig = owner.sign(
       LatusProofSystem::ownership_message(mc_receiver, utxo.nullifier()));
   w.base.mst_proof =
-      record.state.mst().prove(mst_position(utxo, live_.state.depth()));
+      anchor_state.mst().prove(mst_position(utxo, live_.state.depth()));
   w.base.cert = anchor.cert;
   w.base.cert_block_header = anchor.block_header;
   w.base.cert_mproof = anchor.mproof;
@@ -516,7 +510,7 @@ mainchain::CeasedSidechainWithdrawal LatusNode::create_csw_historical(
           "LatusNode: missing delta archive for a later certificate");
     }
     w.links.push_back(DeltaLink{later.cert, later.block_header, later.mproof,
-                                it->second.delta});
+                                it->second.delta()});
   }
 
   mainchain::CeasedSidechainWithdrawal csw;

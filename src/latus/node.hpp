@@ -169,17 +169,13 @@ class LatusNode {
     std::uint64_t we_epoch = 0;
     std::uint64_t quality = 0;
     Digest sb_last_hash;
-    std::vector<mainchain::BackwardTransfer> bt_list;
-    Digest state_before, state_after;
-    Digest mst_root_before, mst_root_after;
-    Digest delta_hash;
+    Digest state_before, mst_root_before;
     Digest prev_epoch_last_mc, epoch_last_mc;
     std::vector<snark::TransitionStep> steps;
-    /// State at the boundary, for later BTR/CSW membership proofs.
-    /// Optional only because LatusState has no default construction.
-    std::optional<LatusState> boundary_state;
-    /// Full epoch delta (whose hash is delta_hash), for Appendix-A proofs.
-    merkle::MstDelta delta;
+    /// State at the boundary. It holds the certificate's BT list, its
+    /// state and MST root after the epoch and the full epoch delta (for
+    /// Appendix-A proofs), and serves later BTR/CSW membership proofs.
+    LatusState boundary_state;
 
     /// The certificate's statement inputs, all but the epoch proof.
     [[nodiscard]] WcertProofInput proof_input() const;
@@ -189,13 +185,6 @@ class LatusNode {
     mainchain::WithdrawalCertificate cert;
     mainchain::BlockHeader block_header;
     merkle::CommitmentMembershipProof mproof;
-  };
-
-  /// Per-certificate archive entry: the boundary state for membership
-  /// proofs and the epoch delta for Appendix-A proofs.
-  struct CertRecord {
-    LatusState state;
-    merkle::MstDelta delta;
   };
 
   /// What a checkpoint copies: everything that is overwritten, not
@@ -208,7 +197,7 @@ class LatusNode {
     [[nodiscard]] std::uint64_t dynamic_usage() const;
 
     LatusState state;
-    std::deque<std::pair<McBlockReference, std::uint64_t>> pending_refs;
+    std::deque<McBlockReference> pending_refs;
     std::vector<PaymentTx> mempool_payments;
     std::vector<BackwardTransferTx> mempool_bts;
     std::optional<std::uint64_t> last_mc_height;
@@ -251,8 +240,8 @@ class LatusNode {
   /// Checkpoint the node every kCheckpointInterval MC heights once fully
   /// forged (no pending refs).
   void maybe_checkpoint();
-  /// Archive `snap`'s boundary state and delta as the record of the
-  /// certificate `cert_hash`.
+  /// Archive `snap`'s boundary state as the record of the certificate
+  /// `cert_hash`.
   void archive(const Digest& cert_hash, const EpochSnapshot& snap);
   void publish_gauges();
 
@@ -272,9 +261,11 @@ class LatusNode {
   /// first observed block's parent, then every observed block.
   std::uint64_t mc_hash_base_ = 0;
   std::vector<Digest> mc_hashes_;
-  /// Certificate archive, keyed by certificate hash, and its keys in
-  /// insertion order so a rollback can erase the newer records.
-  std::unordered_map<Digest, CertRecord, crypto::DigestHash> cert_states_;
+  /// Certificate archive: each certificate's boundary state (for
+  /// membership proofs; its delta serves Appendix-A proofs), keyed by
+  /// certificate hash, and its keys in insertion order so a rollback can
+  /// erase the newer records.
+  std::unordered_map<Digest, LatusState, crypto::DigestHash> cert_states_;
   std::vector<Digest> cert_order_;
 
   /// Reorg checkpoints, oldest first: the base, then the periodic ones.

@@ -96,7 +96,7 @@ Digest ChainState::state_fingerprint() const {
   }
 
   crypto::Hasher h(Domain::kGeneric);
-  h.write_u64(height_).write(tip_).write(utxo_acc).write(nullifier_acc);
+  h.write_u64(height()).write(tip_hash()).write(utxo_acc).write(nullifier_acc);
   h.write_u64(block_hashes_.size());
   for (const Digest& bh : block_hashes_) h.write(bh);
   h.write_u64(sidechains_.size());
@@ -160,19 +160,14 @@ void ChainState::flush(const CacheView& view, const Block& block) {
   for (const Digest& key : view.nullifier_entries()) {
     nullifiers_.insert(key);
   }
-  ++height_;
-  tip_ = block.hash();
-  block_hashes_.push_back(tip_);
+  block_hashes_.push_back(block.hash());
 }
 
 std::string ChainState::connect_block(const Block& block, BlockUndo* undo) {
-  if (!genesis_connected_) {
+  if (block_hashes_.empty()) {
     if (std::string err = check_genesis(block); !err.empty()) return err;
-    genesis_connected_ = true;
-    height_ = 0;
-    tip_ = block.hash();
-    block_hashes_ = {tip_};
-    if (undo != nullptr) *undo = BlockUndo{tip_, 0, {}, {}, {}, {}};
+    block_hashes_ = {block.hash()};
+    if (undo != nullptr) *undo = BlockUndo{block_hashes_[0], 0, {}, {}, {}, {}};
     return "";
   }
 
@@ -188,10 +183,8 @@ std::string ChainState::connect_block(const Block& block, BlockUndo* undo) {
 }
 
 std::string ChainState::disconnect_block(const BlockUndo& undo) {
-  if (!genesis_connected_ || height_ == 0) {
-    return "disconnect: nothing above genesis";
-  }
-  if (undo.height != height_ || undo.block_hash != tip_) {
+  if (height() == 0) return "disconnect: nothing above genesis";
+  if (undo.height != height() || undo.block_hash != tip_hash()) {
     return "disconnect: undo record does not match the tip";
   }
   for (const OutPoint& op : undo.created) utxos_.erase(op);
@@ -205,15 +198,12 @@ std::string ChainState::disconnect_block(const BlockUndo& undo) {
   }
   for (const Digest& key : undo.nullifier_keys) nullifiers_.erase(key);
   block_hashes_.pop_back();
-  --height_;
-  tip_ = block_hashes_.back();
   return "";
 }
 
 std::string ChainState::dry_run(const Block& block) const {
-  if (!genesis_connected_) return check_genesis(block);
-  ReadOnlyView frozen(*this);
-  CacheView view(frozen);
+  if (block_hashes_.empty()) return check_genesis(block);
+  CacheView view(*this);
   // Shares the validation runtime with connect_block: proofs verified
   // here are cached, so a later connect of the same block (the
   // mempool-probe-then-connect flow) re-verifies nothing.
@@ -278,7 +268,6 @@ Blockchain::Blockchain(ChainParams params)
   if (!err.empty()) {
     throw std::logic_error("genesis connect failed: " + err);
   }
-  heights_[genesis_hash_] = 0;
   blocks_.emplace(genesis_hash_, std::move(genesis));
   header_chain_ = {genesis_hash_};
 }
@@ -383,7 +372,7 @@ std::vector<BlockHeader> Blockchain::headers_after(const BlockLocator& loc,
   std::uint64_t fork = 0;
   for (const Digest& hash : loc.hashes) {
     if (on_active_chain(hash)) {
-      fork = heights_.at(hash);
+      fork = blocks_.at(hash).header.height;
       break;
     }
   }
@@ -420,10 +409,9 @@ std::vector<Digest> Blockchain::next_missing_bodies(std::size_t max) {
 }
 
 bool Blockchain::on_active_chain(const Digest& hash) const {
-  auto it = heights_.find(hash);
-  if (it == heights_.end()) return false;
-  return it->second <= state_.height() &&
-         state_.hash_at_height(it->second) == hash;
+  const Block* b = find_block(hash);
+  return b != nullptr && b->header.height <= state_.height() &&
+         state_.hash_at_height(b->header.height) == hash;
 }
 
 void Blockchain::push_undo(BlockUndo undo) {
@@ -447,7 +435,7 @@ Blockchain::SubmitResult Blockchain::activate_branch(const Digest& tip) {
     cur = b->header.prev_hash;
   }
   std::reverse(new_branch.begin(), new_branch.end());
-  std::uint64_t fork_height = heights_.at(cur);
+  std::uint64_t fork_height = blocks_.at(cur).header.height;
   std::uint64_t depth = state_.height() - fork_height;
 
   if (depth > params_.max_reorg_depth) {
@@ -525,7 +513,9 @@ Blockchain::SubmitResult Blockchain::activate_branch(const Digest& tip) {
 
 Blockchain::SubmitResult Blockchain::submit_attached(const Block& block) {
   Digest hash = block.hash();
-  if (block.header.height != heights_.at(block.header.prev_hash) + 1) {
+  const std::uint64_t parent_height =
+      blocks_.at(block.header.prev_hash).header.height;
+  if (block.header.height != parent_height + 1) {
     return invalid_result("block height does not follow parent", 100);
   }
 
@@ -544,7 +534,6 @@ Blockchain::SubmitResult Blockchain::submit_attached(const Block& block) {
     ++*m_connected_;
     m_height_->set(state_.height());
     push_undo(std::move(undo));
-    heights_[hash] = block.header.height;
     blocks_.emplace(hash, block);
     note_stored_block(hash, block.header);
     SubmitResult result;
@@ -556,7 +545,6 @@ Blockchain::SubmitResult Blockchain::submit_attached(const Block& block) {
 
   // Side branch. Store it; switch only if it becomes strictly longer than
   // the active chain (Nakamoto rule, first-seen tiebreak).
-  heights_[hash] = block.header.height;
   blocks_.emplace(hash, block);
   if (block.header.height <= state_.height()) {
     note_stored_block(hash, block.header);
@@ -569,7 +557,6 @@ Blockchain::SubmitResult Blockchain::submit_attached(const Block& block) {
   SubmitResult result = activate_branch(hash);
   if (!result.accepted()) {
     blocks_.erase(hash);
-    heights_.erase(hash);
   } else {
     // Only a block that survived validation may advance the best header
     // — noting it earlier would leave the header chain pointing at a
@@ -679,7 +666,7 @@ Blockchain::SubmitResult Blockchain::submit_block(const Block& block) {
     return invalid_result("tx merkle root mismatch", 100);
   }
 
-  if (!heights_.contains(block.header.prev_hash)) {
+  if (!blocks_.contains(block.header.prev_hash)) {
     // Parent not here yet (out-of-order gossip delivery): buffer. The
     // result is kOrphaned even when pruning refuses retention (height
     // outside the window, pool full) — the parent is unknown either way

@@ -51,12 +51,18 @@ class ChainState final : public StateView {
   [[nodiscard]] std::string disconnect_block(const BlockUndo& undo);
 
   /// Validation-only variant: same checks as connect_block, no mutation
-  /// (runs in a discard-on-drop overlay over a read-only view).
+  /// (runs in a discard-on-drop overlay).
   [[nodiscard]] std::string dry_run(const Block& block) const;
 
   // ---- StateView ----
-  [[nodiscard]] std::uint64_t height() const override { return height_; }
-  [[nodiscard]] Digest tip_hash() const override { return tip_; }
+  /// 0 before genesis is connected, like the genesis-only state.
+  [[nodiscard]] std::uint64_t height() const override {
+    return block_hashes_.empty() ? 0 : block_hashes_.size() - 1;
+  }
+  /// Zero digest before genesis is connected.
+  [[nodiscard]] Digest tip_hash() const override {
+    return block_hashes_.empty() ? Digest{} : block_hashes_.back();
+  }
   [[nodiscard]] const TxOutput* find_utxo(const OutPoint& op) const override;
   [[nodiscard]] const SidechainStatus* find_sidechain(
       const SidechainId& id) const override;
@@ -101,11 +107,9 @@ class ChainState final : public StateView {
   std::map<SidechainId, SidechainStatus> sidechains_;
   /// Used nullifiers per sidechain (keyed by nullifier_key).
   std::unordered_set<Digest, crypto::DigestHash> nullifiers_;
-  /// Active-chain block hash per height.
+  /// Active-chain block hash per height, [0] = genesis: the one record of
+  /// height, tip and whether genesis is connected (empty until it is).
   std::vector<Digest> block_hashes_;
-  std::uint64_t height_ = 0;
-  Digest tip_;
-  bool genesis_connected_ = false;
   /// Batch-verification runtime (worker pool + verified-check cache),
   /// created from params_.validation. Shared across ChainState copies —
   /// the pool serializes batches and the cache is content-addressed, so
@@ -245,10 +249,6 @@ class Blockchain {
   [[nodiscard]] bool has_orphan(const Digest& hash) const {
     return orphans_.contains(hash);
   }
-  /// True when `hash` is in the block tree (connected, any branch).
-  [[nodiscard]] bool has_block(const Digest& hash) const {
-    return blocks_.contains(hash);
-  }
 
   // ---- Observability ----
   //
@@ -292,8 +292,9 @@ class Blockchain {
   void prune_orphans();
 
   ChainParams params_;
+  /// The block tree (every branch), by own hash; a block's height is its
+  /// header's.
   std::unordered_map<Digest, Block, crypto::DigestHash> blocks_;
-  std::unordered_map<Digest, std::uint64_t, crypto::DigestHash> heights_;
   /// Blocks waiting for their parent, by own hash; bounded by
   /// ChainParams::max_orphan_blocks / orphan_height_window.
   std::unordered_map<Digest, Block, crypto::DigestHash> orphans_;

@@ -37,14 +37,13 @@ Block Miner::build_block(const Mempool& pool) const {
   block.header.height = height;
   block.transactions.emplace_back();  // the coinbase, once fees are known
 
-  ReadOnlyView frozen(state);
-  CacheView block_view(frozen);
+  CacheView block_view(state);
   if (std::string err = finalize_epochs(block_view, height); !err.empty()) {
     throw std::logic_error("build_block: " + err);
   }
 
   for (const SidechainParams& sc : pool.sidechain_creations) {
-    if (apply_item(block_view, vctx, [&](WriteView& v, auto&) {
+    if (apply_item(block_view, vctx, [&](CacheView& v, auto&) {
           return apply_creation(v, sc, height);
         })) {
       block.sidechain_creations.push_back(sc);
@@ -53,7 +52,7 @@ Block Miner::build_block(const Mempool& pool) const {
   Amount fees = 0;
   for (const Transaction& tx : pool.transactions) {
     Amount tx_fee = 0;
-    if (apply_item(block_view, vctx, [&](WriteView& v, auto& batch) {
+    if (apply_item(block_view, vctx, [&](CacheView& v, auto& batch) {
           return apply_transaction(v, tx, &tx_fee, batch);
         })) {
       block.transactions.push_back(tx);
@@ -69,7 +68,7 @@ Block Miner::build_block(const Mempool& pool) const {
   for (const WithdrawalCertificate& cert : pool.certificates) {
     // One certificate per sidechain per block (§4.1.3).
     if (certified.contains(cert.ledger_id)) continue;
-    if (apply_item(block_view, vctx, [&](WriteView& v, auto& batch) {
+    if (apply_item(block_view, vctx, [&](CacheView& v, auto& batch) {
           return apply_certificate(v, cert, height, Digest{}, batch);
         })) {
       certified.insert(cert.ledger_id);
@@ -80,14 +79,14 @@ Block Miner::build_block(const Mempool& pool) const {
     // Against a certificate in this block a BTR's statement reads this
     // block's hash, which commits to the BTR itself: it can never verify.
     if (certified.contains(btr.ledger_id)) continue;
-    if (apply_item(block_view, vctx, [&](WriteView& v, auto& batch) {
+    if (apply_item(block_view, vctx, [&](CacheView& v, auto& batch) {
           return apply_btr(v, btr, batch);
         })) {
       block.btrs.push_back(btr);
     }
   }
   for (const CeasedSidechainWithdrawal& csw : pool.csws) {
-    if (apply_item(block_view, vctx, [&](WriteView& v, auto& batch) {
+    if (apply_item(block_view, vctx, [&](CacheView& v, auto& batch) {
           return apply_csw(v, csw, batch);
         })) {
       block.csws.push_back(csw);

@@ -66,7 +66,7 @@ void CacheView::add_nullifier_key(const Digest& key) {
   nullifiers_.insert(key);
 }
 
-void CacheView::flush_into(WriteView& target) const {
+void CacheView::flush_into(CacheView& target) const {
   for (const auto& [op, entry] : utxos_) {
     if (entry.has_value()) {
       target.add_utxo(op, *entry);
@@ -84,7 +84,7 @@ void CacheView::flush_into(WriteView& target) const {
 // Block application (shared validation + state transition)
 // ---------------------------------------------------------------------------
 
-std::string finalize_epochs(WriteView& view, std::uint64_t new_height) {
+std::string finalize_epochs(CacheView& view, std::uint64_t new_height) {
   for (const SidechainId& id : view.sidechain_ids()) {
     const SidechainStatus* sc_ro = view.find_sidechain(id);
     if (sc_ro == nullptr || sc_ro->ceased) continue;
@@ -123,7 +123,7 @@ std::string finalize_epochs(WriteView& view, std::uint64_t new_height) {
   return "";
 }
 
-std::string apply_transaction(WriteView& view, const Transaction& tx,
+std::string apply_transaction(CacheView& view, const Transaction& tx,
                               Amount* fees,
                               parallel::BatchProofVerifier& batch) {
   if (tx.is_coinbase) return "unexpected coinbase transaction";
@@ -170,7 +170,7 @@ std::string apply_transaction(WriteView& view, const Transaction& tx,
   return "";
 }
 
-std::string apply_creation(WriteView& view, const SidechainParams& sc,
+std::string apply_creation(CacheView& view, const SidechainParams& sc,
                            std::uint64_t new_height) {
   if (view.find_sidechain(sc.ledger_id) != nullptr) {
     return "sidechain id already registered";
@@ -188,7 +188,7 @@ std::string apply_creation(WriteView& view, const SidechainParams& sc,
   return "";
 }
 
-std::string apply_certificate(WriteView& view,
+std::string apply_certificate(CacheView& view,
                               const WithdrawalCertificate& cert,
                               std::uint64_t new_height,
                               const Digest& block_hash,
@@ -235,7 +235,7 @@ std::string apply_certificate(WriteView& view,
   return "";
 }
 
-std::string apply_btr(WriteView& view, const BtrRequest& btr,
+std::string apply_btr(CacheView& view, const BtrRequest& btr,
                       parallel::BatchProofVerifier& batch) {
   const SidechainStatus* sc = view.find_sidechain(btr.ledger_id);
   if (sc == nullptr) return "BTR for unknown sidechain";
@@ -258,7 +258,7 @@ std::string apply_btr(WriteView& view, const BtrRequest& btr,
   return "";
 }
 
-std::string apply_csw(WriteView& view, const CeasedSidechainWithdrawal& csw,
+std::string apply_csw(CacheView& view, const CeasedSidechainWithdrawal& csw,
                       parallel::BatchProofVerifier& batch) {
   const SidechainStatus* sc_ro = view.find_sidechain(csw.ledger_id);
   if (sc_ro == nullptr) return "CSW for unknown sidechain";
@@ -289,7 +289,7 @@ namespace {
 
 /// The coinbase slot; its value is checked by the caller once fees are
 /// known.
-std::string apply_coinbase(WriteView& view, const Transaction& tx) {
+std::string apply_coinbase(CacheView& view, const Transaction& tx) {
   if (!tx.is_coinbase) return "first transaction must be coinbase";
   if (!tx.inputs.empty()) return "coinbase must have no inputs";
   if (!tx.forward_transfers.empty()) {
@@ -307,7 +307,7 @@ std::string apply_coinbase(WriteView& view, const Transaction& tx) {
 
 /// Sequential stateful application: every rule that reads or writes the
 /// overlay. Expensive stateless checks are collected into `batch`.
-std::string apply_block_stateful(WriteView& view, const ChainParams& params,
+std::string apply_block_stateful(CacheView& view, const ChainParams& params,
                                  const Block& block,
                                  parallel::BatchProofVerifier& batch) {
   const Digest block_hash = block.hash();
@@ -393,7 +393,7 @@ std::string apply_block_stateful(WriteView& view, const ChainParams& params,
 
 }  // namespace
 
-std::string apply_block(WriteView& view, const ChainParams& params,
+std::string apply_block(CacheView& view, const ChainParams& params,
                         const Block& block,
                         parallel::BatchProofVerifier& batch) {
   std::string stateful = apply_block_stateful(view, params, block, batch);

@@ -10,16 +10,14 @@
 //   * StateView       — read interface (UTXO, sidechain status, nullifier
 //                       and active-chain lookups). ChainState implements
 //                       it as the backing store.
-//   * ReadOnlyView    — delegating adapter that exposes any StateView
-//                       without write access; dry_run stacks a CacheView
-//                       on top of it so validation can never touch the
-//                       backing store.
-//   * CacheView       — copy-on-write overlay: reads fall through to the
-//                       base, writes land in dirty-entry maps. connect
-//                       flushes the overlay in one batch; dry_run drops
-//                       it. Overlays nest: block assembly applies each
-//                       candidate item into an overlay over the block's
-//                       overlay and flushes it there only if it validates.
+//   * CacheView       — copy-on-write overlay and the only writable view:
+//                       reads fall through to a const base, writes land
+//                       in dirty-entry maps, so validation can never touch
+//                       the backing store. connect flushes the overlay in
+//                       one batch; dry_run drops it. Overlays nest: block
+//                       assembly applies each candidate item into an
+//                       overlay over the block's overlay and flushes it
+//                       there only if it validates.
 //
 // Connecting a block also emits a BlockUndo record — the exact delta
 // needed to roll the tip back in O(delta): spent outputs, created
@@ -97,53 +95,11 @@ class StateView {
       const SidechainParams& params, std::uint64_t epoch) const;
 };
 
-/// Write extension used by block application.
-class WriteView : public StateView {
- public:
-  virtual void add_utxo(const OutPoint& op, const TxOutput& out) = 0;
-  virtual void spend_utxo(const OutPoint& op) = 0;
-  /// Mutable status entry for `id`, created empty when not yet registered.
-  virtual SidechainStatus& sidechain_for_update(const SidechainId& id) = 0;
-  virtual void add_nullifier_key(const Digest& key) = 0;
-
-  void add_nullifier(const SidechainId& id, const Digest& nullifier) {
-    add_nullifier_key(nullifier_key(id, nullifier));
-  }
-};
-
-/// Read-only adapter: exposes `base` while statically ruling out writes.
-class ReadOnlyView final : public StateView {
- public:
-  explicit ReadOnlyView(const StateView& base) : base_(base) {}
-
-  [[nodiscard]] const TxOutput* find_utxo(const OutPoint& op) const override {
-    return base_.find_utxo(op);
-  }
-  [[nodiscard]] const SidechainStatus* find_sidechain(
-      const SidechainId& id) const override {
-    return base_.find_sidechain(id);
-  }
-  [[nodiscard]] bool nullifier_key_used(const Digest& key) const override {
-    return base_.nullifier_key_used(key);
-  }
-  [[nodiscard]] std::uint64_t height() const override { return base_.height(); }
-  [[nodiscard]] Digest tip_hash() const override { return base_.tip_hash(); }
-  [[nodiscard]] Digest hash_at_height(std::uint64_t h) const override {
-    return base_.hash_at_height(h);
-  }
-  [[nodiscard]] std::vector<SidechainId> sidechain_ids() const override {
-    return base_.sidechain_ids();
-  }
-
- private:
-  const StateView& base_;
-};
-
 /// Copy-on-write overlay over a base view. Reads consult the dirty-entry
 /// maps first and fall through to the base; writes only ever touch the
 /// overlay. Dropping the overlay discards every change (dry_run);
 /// ChainState::connect_block flushes it in one batch.
-class CacheView final : public WriteView {
+class CacheView final : public StateView {
  public:
   explicit CacheView(const StateView& base) : base_(base) {}
 
@@ -159,11 +115,15 @@ class CacheView final : public WriteView {
   }
   [[nodiscard]] std::vector<SidechainId> sidechain_ids() const override;
 
-  // ---- WriteView ----
-  void add_utxo(const OutPoint& op, const TxOutput& out) override;
-  void spend_utxo(const OutPoint& op) override;
-  SidechainStatus& sidechain_for_update(const SidechainId& id) override;
-  void add_nullifier_key(const Digest& key) override;
+  // ---- Writes ----
+  void add_utxo(const OutPoint& op, const TxOutput& out);
+  void spend_utxo(const OutPoint& op);
+  /// Mutable status entry for `id`, created empty when not yet registered.
+  SidechainStatus& sidechain_for_update(const SidechainId& id);
+  void add_nullifier_key(const Digest& key);
+  void add_nullifier(const SidechainId& id, const Digest& nullifier) {
+    add_nullifier_key(nullifier_key(id, nullifier));
+  }
 
   // ---- Dirty-entry introspection (flush / undo construction) ----
   /// UTXO delta: value = new output, nullopt = spent.
@@ -180,11 +140,10 @@ class CacheView final : public WriteView {
   nullifier_entries() const {
     return nullifiers_;
   }
-  [[nodiscard]] const StateView& base() const { return base_; }
 
   /// Writes every dirty entry into `target` (usually the overlay this one
   /// was stacked on), which then reads as this overlay did.
-  void flush_into(WriteView& target) const;
+  void flush_into(CacheView& target) const;
 
  private:
   const StateView& base_;
@@ -221,7 +180,7 @@ struct BlockUndo {
 /// before this function returns. A collected check that fails is reported
 /// in favour of any stateful failure it sequentially preceded, so the
 /// diagnostic is the one checking each item in turn would give.
-[[nodiscard]] std::string apply_block(WriteView& view,
+[[nodiscard]] std::string apply_block(CacheView& view,
                                       const ChainParams& params,
                                       const Block& block,
                                       parallel::BatchProofVerifier& batch);
@@ -236,28 +195,28 @@ struct BlockUndo {
 
 /// Step 1: finalizes the certificate windows that close at `new_height`
 /// and ceases each sidechain whose window closed without one (Def 4.2).
-[[nodiscard]] std::string finalize_epochs(WriteView& view,
+[[nodiscard]] std::string finalize_epochs(CacheView& view,
                                           std::uint64_t new_height);
 /// Step 2: registers a sidechain.
-[[nodiscard]] std::string apply_creation(WriteView& view,
+[[nodiscard]] std::string apply_creation(CacheView& view,
                                          const SidechainParams& sc,
                                          std::uint64_t new_height);
 /// Step 3: a regular (non-coinbase) transaction; adds its fee to `*fees`.
 [[nodiscard]] std::string apply_transaction(
-    WriteView& view, const Transaction& tx, Amount* fees,
+    CacheView& view, const Transaction& tx, Amount* fees,
     parallel::BatchProofVerifier& batch);
 /// Step 5 (step 4 is the coinbase): a withdrawal certificate carried by
 /// the block whose hash is `block_hash`, which becomes the sidechain's
 /// H(B_w).
 [[nodiscard]] std::string apply_certificate(
-    WriteView& view, const WithdrawalCertificate& cert,
+    CacheView& view, const WithdrawalCertificate& cert,
     std::uint64_t new_height, const Digest& block_hash,
     parallel::BatchProofVerifier& batch);
 /// Step 6: a backward transfer request.
-[[nodiscard]] std::string apply_btr(WriteView& view, const BtrRequest& btr,
+[[nodiscard]] std::string apply_btr(CacheView& view, const BtrRequest& btr,
                                     parallel::BatchProofVerifier& batch);
 /// Step 7: a ceased sidechain withdrawal.
-[[nodiscard]] std::string apply_csw(WriteView& view,
+[[nodiscard]] std::string apply_csw(CacheView& view,
                                     const CeasedSidechainWithdrawal& csw,
                                     parallel::BatchProofVerifier& batch);
 

@@ -81,9 +81,6 @@ class ScTxCommitmentTree {
   void set_wcert(const SidechainId& id, const Digest& cert_hash);
 
   [[nodiscard]] bool empty() const { return sidechains_.empty(); }
-  [[nodiscard]] std::size_t sidechain_count() const {
-    return sidechains_.size();
-  }
 
   /// The SCTxsCommitment digest for the MC block header.
   [[nodiscard]] Digest root() const;

@@ -170,13 +170,6 @@ class GarbageHeaderPeer : public AdversaryNode {
     send_msg(victim, MsgType::kHeaders, mainchain::codec::encode_headers(headers));
   }
 
-  /// A batch larger than any honest node would request or serve.
-  void send_oversized_batch(NodeId victim, std::size_t count) {
-    send_msg(victim, MsgType::kHeaders,
-             mainchain::codec::encode_headers(
-                 std::vector<mainchain::BlockHeader>(count)));
-  }
-
  protected:
   void on_message(NodeId from, std::span<const std::uint8_t> payload) override {
     if (payload.empty()) return;
@@ -267,16 +260,9 @@ class EclipseAttacker : public GarbageHeaderPeer {
       : GarbageHeaderPeer(net, std::move(params)) {}
 
   /// Partitions the net into {victim, attacker} vs everyone else.
-  void eclipse(NodeId victim) {
-    net_.partition({{victim, id()}});
-    eclipsed_ = victim;
-  }
+  void eclipse(NodeId victim) { net_.partition({{victim, id()}}); }
   /// Ends the eclipse (the victim's view of the honest net heals).
   void release() { net_.heal(); }
-  [[nodiscard]] std::optional<NodeId> eclipsed() const { return eclipsed_; }
-
- private:
-  std::optional<NodeId> eclipsed_;
 };
 
 /// One scheduled action.

@@ -176,37 +176,6 @@ crypto::Digest SimNet::fold_trace_entry(const crypto::Digest& acc,
       .finalize();
 }
 
-crypto::Digest SimNet::digest_of(const std::vector<TraceEntry>& trace) {
-  crypto::Digest acc = trace_digest_seed();
-  for (const TraceEntry& entry : trace) acc = fold_trace_entry(acc, entry);
-  return acc;
-}
-
-crypto::Digest SimNet::trace_digest() const {
-  switch (trace_mode_) {
-    case TraceMode::kFull:
-      return digest_of(trace_);
-    case TraceMode::kDigest:
-      return rolling_digest_;
-    case TraceMode::kOff:
-      break;
-  }
-  return trace_digest_seed();
-}
-
-void SimNet::record(const TraceEntry& entry) {
-  switch (trace_mode_) {
-    case TraceMode::kFull:
-      trace_.push_back(entry);
-      break;
-    case TraceMode::kDigest:
-      rolling_digest_ = fold_trace_entry(rolling_digest_, entry);
-      break;
-    case TraceMode::kOff:
-      break;
-  }
-}
-
 void SimNet::deliver(const Pending& msg) {
   if (msg.is_timer) {
     // Timers are node-local: the partition/drop machinery never touches
@@ -244,7 +213,9 @@ void SimNet::deliver(const Pending& msg) {
     ++stats_.delivered;
     ++link.delivered;
   }
-  record(entry);
+  if (trace_mode_ == TraceMode::kDigest) {
+    rolling_digest_ = fold_trace_entry(rolling_digest_, entry);
+  }
   if (entry.outcome == TraceEntry::Outcome::kDelivered) {
     handlers_[msg.to](msg.from, msg.payload);
   }
@@ -268,11 +239,10 @@ void SimNet::run_until(SimTime t) {
   if (now_ < t) now_ = t;
 }
 
-std::size_t SimNet::run_until_idle(std::size_t max_events) {
-  const std::size_t cap = max_events == 0 ? idle_event_cap_ : max_events;
+std::size_t SimNet::run_until_idle() {
   std::size_t processed = 0;
   while (step()) {
-    if (++processed > cap) {
+    if (++processed > idle_event_cap_) {
       throw std::runtime_error("SimNet: gossip did not quiesce");
     }
   }

@@ -6,8 +6,9 @@
 // a uint64 tick counter advanced by popping a (time, seq)-ordered event
 // queue, and every random decision (per-message latency, drops) comes
 // from one seeded Rng. Two runs from the same seed therefore produce the
-// byte-identical delivery trace, which is what lets randomized
-// convergence tests print a reproducing seed instead of a flake.
+// identical delivery trace, and so the same trace digest, which is what
+// lets randomized convergence tests print a reproducing seed instead of a
+// flake.
 //
 // The internals are shaped for clusters of hundreds of nodes:
 //  - the event queue is an indexed calendar queue (event_queue.hpp) that
@@ -20,9 +21,9 @@
 //    (make_payload): a broadcast to N peers shares one refcounted
 //    buffer+digest record instead of hashing the same bytes N times at
 //    delivery;
-//  - trace recording is a mode: kFull keeps the historical
-//    vector<TraceEntry>, kDigest folds every entry into a rolling digest
-//    (replay-identity checks at O(1) memory), kOff records nothing.
+//  - the trace is never stored: kDigest (the default) folds every
+//    delivery attempt into a rolling digest, so replay-identity checks
+//    cost O(1) memory; kOff records nothing.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +55,7 @@ struct LinkParams {
   friend bool operator==(const LinkParams&, const LinkParams&) = default;
 };
 
-/// One delivery attempt, recorded for replay-identity checks.
+/// One delivery attempt, folded into the trace digest.
 struct TraceEntry {
   enum class Outcome : std::uint8_t {
     kDelivered,
@@ -69,14 +70,11 @@ struct TraceEntry {
   NodeId to = 0;
   crypto::Digest payload_hash;
   Outcome outcome = Outcome::kDelivered;
-
-  friend bool operator==(const TraceEntry&, const TraceEntry&) = default;
 };
 
-/// How much of the delivery trace the simulator retains.
+/// Whether the simulator folds deliveries into the trace digest.
 enum class TraceMode : std::uint8_t {
-  kFull,    ///< every TraceEntry, in a vector (historical behavior)
-  kDigest,  ///< O(1) memory: a rolling digest over the entries
+  kDigest,  ///< a rolling digest over the entries (the default)
   kOff,     ///< nothing — large sweeps that only care about stats
 };
 
@@ -165,35 +163,25 @@ class SimNet {
   void run_until(SimTime t);
   /// Drains the queue (handlers may keep scheduling); returns events
   /// processed. Throws std::runtime_error past the cap — a gossip storm
-  /// that never quiesces is a bug, not a workload. `max_events == 0`
-  /// uses the configured default (set_idle_event_cap, one million out of
-  /// the box); large-cluster sweeps raise it explicitly.
-  std::size_t run_until_idle(std::size_t max_events = 0);
-  /// Default event cap for run_until_idle calls that don't pass one.
+  /// that never quiesces is a bug, not a workload. The cap is one million
+  /// events out of the box; large-cluster sweeps raise it with
+  /// set_idle_event_cap.
+  std::size_t run_until_idle();
+  /// Event cap of run_until_idle.
   void set_idle_event_cap(std::size_t cap) { idle_event_cap_ = cap; }
   [[nodiscard]] std::size_t idle_event_cap() const { return idle_event_cap_; }
 
-  /// Selects how deliveries are recorded. Call before traffic starts:
-  /// switching modes mid-run neither rebuilds the vector nor replays the
-  /// rolling digest, so each mode only covers the events recorded while
-  /// it was active.
+  /// Selects whether deliveries are folded into the trace digest. Call
+  /// before traffic starts: the digest only covers the events recorded
+  /// while kDigest was active.
   void set_trace_mode(TraceMode mode) { trace_mode_ = mode; }
-  [[nodiscard]] TraceMode trace_mode() const { return trace_mode_; }
 
-  /// Full delivery trace since construction (kFull mode only; empty in
-  /// kDigest/kOff), for replay-identity checks.
-  [[nodiscard]] const std::vector<TraceEntry>& trace() const {
-    return trace_;
-  }
-
-  /// Digest of the delivery trace: in kDigest mode the rolling digest
-  /// maintained per event; in kFull mode digest_of(trace()) computed on
-  /// demand — the two agree for identical event streams, which is what
-  /// lets a 256-node sweep assert replay identity without storing a
-  /// multi-million-entry vector. In kOff mode, the fold seed.
-  [[nodiscard]] crypto::Digest trace_digest() const;
-  /// The fold digest_of computes: seed, then one fold step per entry.
-  static crypto::Digest digest_of(const std::vector<TraceEntry>& trace);
+  /// Digest of the delivery trace: the fold seed, then one
+  /// fold_trace_entry step per delivery attempt recorded in kDigest mode
+  /// (just the seed when the mode was kOff throughout). Equal digests
+  /// mean identical event streams, which is what lets a 256-node sweep
+  /// assert replay identity without storing a multi-million-entry trace.
+  [[nodiscard]] crypto::Digest trace_digest() const { return rolling_digest_; }
   static crypto::Digest trace_digest_seed();
   static crypto::Digest fold_trace_entry(const crypto::Digest& acc,
                                          const TraceEntry& entry);
@@ -262,7 +250,6 @@ class SimNet {
 
   void schedule(NodeId from, NodeId to, PayloadPtr payload);
   void deliver(const Pending& msg);
-  void record(const TraceEntry& entry);
 
   crypto::Rng rng_;
   std::vector<Handler> handlers_;
@@ -279,8 +266,7 @@ class SimNet {
   CalendarQueue<Pending> queue_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  TraceMode trace_mode_ = TraceMode::kFull;
-  std::vector<TraceEntry> trace_;
+  TraceMode trace_mode_ = TraceMode::kDigest;
   crypto::Digest rolling_digest_;
   std::size_t idle_event_cap_ = 1'000'000;
   Stats stats_;

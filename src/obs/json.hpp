@@ -51,7 +51,6 @@ class Value {
   [[nodiscard]] bool is_object() const { return type_ == Type::kObject; }
   [[nodiscard]] bool is_array() const { return type_ == Type::kArray; }
   [[nodiscard]] bool is_number() const { return type_ == Type::kNumber; }
-  [[nodiscard]] bool is_string() const { return type_ == Type::kString; }
 
   /// Array length / object member count (0 for scalars).
   [[nodiscard]] std::size_t size() const {
@@ -66,8 +65,6 @@ class Value {
     return static_cast<std::uint64_t>(num_);
   }
   [[nodiscard]] const std::string& as_string() const { return str_; }
-  [[nodiscard]] const Array& as_array() const { return *arr_; }
-  [[nodiscard]] const Object& as_object() const { return *obj_; }
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Value* find(const std::string& key) const {

@@ -70,8 +70,6 @@ class CheckQueue {
   CheckQueue(const CheckQueue&) = delete;
   CheckQueue& operator=(const CheckQueue&) = delete;
 
-  [[nodiscard]] std::size_t worker_count() const { return threads_.size(); }
-
   /// Runs every check across the pool plus the calling thread. Returns
   /// once all checks have been executed (or skipped because a
   /// lower-index check already failed). Rethrows the lowest add-order

@@ -54,10 +54,10 @@ class NetConvergenceSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(NetConvergenceSweep, RandomPartitionScheduleConverges) {
   const std::uint64_t seed = GetParam();
   // Everything below derives from `seed` alone; run the whole scenario
-  // twice and demand the identical event trace (replayability is what
-  // makes these sweeps debuggable at all).
+  // twice and demand the identical event trace digest (replayability is
+  // what makes these sweeps debuggable at all).
   struct Outcome {
-    std::vector<net::TraceEntry> trace;
+    Digest trace_digest;
     Digest tip;
     Digest fingerprint;
   };
@@ -95,13 +95,13 @@ TEST_P(NetConvergenceSweep, RandomPartitionScheduleConverges) {
                 replay_fingerprint(ptrs[i]->chain()))
           << "seed " << seed << " node " << i;
     }
-    return {simnet.trace(), ptrs[0]->tip(),
+    return {simnet.trace_digest(), ptrs[0]->tip(),
             ptrs[0]->chain().state().state_fingerprint()};
   };
 
   Outcome first = run_once();
   Outcome second = run_once();
-  EXPECT_EQ(first.trace, second.trace) << "seed " << seed;
+  EXPECT_EQ(first.trace_digest, second.trace_digest) << "seed " << seed;
   EXPECT_EQ(first.tip, second.tip) << "seed " << seed;
   EXPECT_EQ(first.fingerprint, second.fingerprint) << "seed " << seed;
 }

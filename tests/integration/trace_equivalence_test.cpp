@@ -3,11 +3,8 @@
 // captured from the pre-refactor binary (binary-heap event queue,
 // per-delivery hashing, hash-map link tables) over the same seeded
 // scenarios; any reordering, re-hash or dropped/extra event changes
-// the fold and fails the suite with the offending seed.
-//
-// Also pinned here: the kDigest trace mode's rolling digest equals the
-// fold of the kFull trace (so O(1)-memory runs assert the same
-// equivalences), and traces are strictly (time, seq)-ordered.
+// the fold and fails the suite with the offending seed. The fold covers
+// every delivery's (time, seq), so the digests also pin pop order.
 #include <gtest/gtest.h>
 
 #include "net/scenario.hpp"
@@ -116,25 +113,12 @@ CounterSums collect_sums(SimNet& net, const std::vector<NetNode*>& nodes) {
   return out;
 }
 
-void expect_strictly_ordered(const std::vector<net::TraceEntry>& trace,
-                             std::uint64_t seed) {
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    const auto& a = trace[i - 1];
-    const auto& b = trace[i];
-    ASSERT_TRUE(a.time < b.time || (a.time == b.time && a.seq < b.seq))
-        << "trace order violated at index " << i << ", seed " << seed;
-  }
-}
-
 // Mirror of network_convergence_test's run_once, minus its assertions —
 // the digest pins the full delivery schedule those assertions ran over.
-Digest convergence_trace(std::uint64_t seed, net::TraceMode mode,
-                         std::vector<net::TraceEntry>* trace_out = nullptr,
-                         CounterSums* sums_out = nullptr) {
+Digest convergence_trace(std::uint64_t seed, CounterSums* sums_out = nullptr) {
   crypto::Rng rng(seed);
   const std::size_t n_nodes = 4 + rng.next_below(3);
   SimNet simnet(seed);
-  simnet.set_trace_mode(mode);
   std::vector<std::unique_ptr<NetNode>> nodes;
   for (std::size_t i = 0; i < n_nodes; ++i) {
     auto key = crypto::KeyPair::from_seed(Hasher(Domain::kGeneric)
@@ -151,7 +135,6 @@ Digest convergence_trace(std::uint64_t seed, net::TraceMode mode,
   const std::size_t mines_per_side = 1 + rng.next_below(3);
   runner.run(net::make_random_race(rng, n_nodes, cycles, mines_per_side));
   EXPECT_TRUE(runner.converge(0)) << "seed " << seed;
-  if (trace_out != nullptr) *trace_out = simnet.trace();
   if (sums_out != nullptr) *sums_out = collect_sums(simnet, ptrs);
   return simnet.trace_digest();
 }
@@ -159,11 +142,8 @@ Digest convergence_trace(std::uint64_t seed, net::TraceMode mode,
 // Deterministic adversarial catch-up: 3 honest + 1 straggler, with an
 // orphan spammer flooding the straggler mid-sync (exercises the DoS
 // scoring, ban timers and orphan bookkeeping paths).
-Digest adversarial_trace(std::uint64_t seed, net::TraceMode mode,
-                         std::vector<net::TraceEntry>* trace_out = nullptr,
-                         CounterSums* sums_out = nullptr) {
+Digest adversarial_trace(std::uint64_t seed, CounterSums* sums_out = nullptr) {
   net::NodeCluster c(seed, 4);
-  c.net.set_trace_mode(mode);
   net::OrphanSpammer spammer(c.net, mainchain::ChainParams{});
   c.net.partition({{0, 1, 2}, {3}});
   for (int i = 0; i < 40; ++i) c[0].mine();
@@ -177,7 +157,6 @@ Digest adversarial_trace(std::uint64_t seed, net::TraceMode mode,
   EXPECT_EQ(c[3].tip(), c[0].tip()) << "seed " << seed;
   c.net.run_until(c.net.now() + 2 * net::kOrphanSuspectGrace);
   c.net.run_until_idle();
-  if (trace_out != nullptr) *trace_out = c.net.trace();
   if (sums_out != nullptr) {
     auto ptrs = c.ptrs();
     *sums_out = collect_sums(c.net, ptrs);
@@ -189,13 +168,8 @@ class ConvergenceGolden : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ConvergenceGolden, TraceDigestMatchesPreRefactorCapture) {
   const GoldenDigest& golden = kConvergenceGolden[GetParam()];
-  std::vector<net::TraceEntry> trace;
-  const Digest got =
-      convergence_trace(golden.seed, net::TraceMode::kFull, &trace);
-  EXPECT_EQ(got.to_hex(), golden.hex) << "seed " << golden.seed;
-  EXPECT_EQ(SimNet::digest_of(trace).to_hex(), golden.hex)
+  EXPECT_EQ(convergence_trace(golden.seed).to_hex(), golden.hex)
       << "seed " << golden.seed;
-  expect_strictly_ordered(trace, golden.seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConvergenceGolden,
@@ -206,11 +180,8 @@ class AdversarialGolden : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(AdversarialGolden, TraceDigestMatchesPreRefactorCapture) {
   const GoldenDigest& golden = kAdversarialGolden[GetParam()];
-  std::vector<net::TraceEntry> trace;
-  const Digest got =
-      adversarial_trace(golden.seed, net::TraceMode::kFull, &trace);
-  EXPECT_EQ(got.to_hex(), golden.hex) << "seed " << golden.seed;
-  expect_strictly_ordered(trace, golden.seed);
+  EXPECT_EQ(adversarial_trace(golden.seed).to_hex(), golden.hex)
+      << "seed " << golden.seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdversarialGolden,
@@ -224,7 +195,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AdversarialGolden,
 // *scenario* changes, never to absorb a counting change.
 TEST(CounterMigration, ConvergenceSeed1MatchesPreMigrationCapture) {
   CounterSums s;
-  convergence_trace(1, net::TraceMode::kDigest, nullptr, &s);
+  convergence_trace(1, &s);
   EXPECT_EQ(s.sim_sent, 227u);
   EXPECT_EQ(s.sim_delivered, 162u);
   EXPECT_EQ(s.sim_dropped, 0u);
@@ -256,7 +227,7 @@ TEST(CounterMigration, ConvergenceSeed1MatchesPreMigrationCapture) {
 
 TEST(CounterMigration, AdversarialSeed31MatchesPreMigrationCapture) {
   CounterSums s;
-  adversarial_trace(31, net::TraceMode::kDigest, nullptr, &s);
+  adversarial_trace(31, &s);
   EXPECT_EQ(s.sim_sent, 755u);
   EXPECT_EQ(s.sim_delivered, 625u);
   EXPECT_EQ(s.sim_dropped, 0u);
@@ -286,15 +257,6 @@ TEST(CounterMigration, AdversarialSeed31MatchesPreMigrationCapture) {
   EXPECT_EQ(s.l01_delivered, 42u);
   EXPECT_EQ(s.l10_queued, 1u);
   EXPECT_EQ(s.l10_delivered, 1u);
-}
-
-// The O(1)-memory digest mode folds to the identical value — large
-// sweeps can assert the same golden digests without storing a trace.
-TEST(TraceModes, DigestModeReproducesGoldenWithoutStoringTrace) {
-  EXPECT_EQ(convergence_trace(1, net::TraceMode::kDigest).to_hex(),
-            kConvergenceGolden[0].hex);
-  EXPECT_EQ(adversarial_trace(31, net::TraceMode::kDigest).to_hex(),
-            kAdversarialGolden[0].hex);
 }
 
 }  // namespace

@@ -929,6 +929,49 @@ TEST_F(MainchainTest, HeadersAfterServesFromForkPoint) {
   EXPECT_EQ(chain_.headers_after(BlockLocator{}, 100).size(), 30u);
 }
 
+TEST_F(MainchainTest, HeadersAfterSkipsStoredSideBranchEntries) {
+  miner_.mine_empty(10);
+
+  // A stored block off the active chain: a sibling of height 6.
+  Block side = make_block_on(chain_.hash_at_height(5), 6, bob_.address(),
+                             /*salt=*/1);
+  ASSERT_TRUE(chain_.submit_block(side).accepted());
+  ASSERT_NE(chain_.find_block(side.hash()), nullptr);
+  ASSERT_EQ(chain_.hash_at_height(10), chain_.tip_hash());
+
+  // The side-branch entry is known but not active, so serving starts
+  // after the next entry, which is.
+  BlockLocator loc;
+  loc.hashes = {side.hash(), chain_.hash_at_height(4)};
+  auto batch = chain_.headers_after(loc, 100);
+  ASSERT_EQ(batch.size(), 6u);
+  EXPECT_EQ(batch.front().hash(), chain_.hash_at_height(5));
+  EXPECT_EQ(batch.back().hash(), chain_.tip_hash());
+}
+
+TEST_F(MainchainTest, FreshStateConnectsGenesisFirst) {
+  ChainState state{ChainParams{}};
+  EXPECT_EQ(state.height(), 0u);
+  EXPECT_TRUE(state.tip_hash().is_zero());
+
+  // Nothing but genesis may come first, whether connected or dry-run.
+  Block first = make_block_on(chain_.genesis().hash(), 1, bob_.address());
+  EXPECT_EQ(state.dry_run(first), "first block must be genesis");
+  EXPECT_EQ(state.connect_block(first), "first block must be genesis");
+  EXPECT_EQ(state.height(), 0u);
+  EXPECT_TRUE(state.tip_hash().is_zero());
+
+  BlockUndo undo;
+  ASSERT_EQ(state.connect_block(chain_.genesis(), &undo), "");
+  EXPECT_EQ(state.height(), 0u);
+  EXPECT_EQ(state.tip_hash(), chain_.genesis().hash());
+  EXPECT_EQ(state.hash_at_height(0), chain_.genesis().hash());
+  // Genesis itself is never rolled back.
+  EXPECT_EQ(state.disconnect_block(undo), "disconnect: nothing above genesis");
+  EXPECT_EQ(state.tip_hash(), chain_.genesis().hash());
+  EXPECT_EQ(state.state_fingerprint(), chain_.state().state_fingerprint());
+}
+
 TEST_F(MainchainTest, MissingBodiesTrackHeaderChainAheadOfBlocks) {
   miner_.mine_empty(10);
 

@@ -619,7 +619,7 @@ TEST(Scenario, SameSeedReproducesTraceAndTip) {
     ScenarioRunner runner(cluster->net, cluster->ptrs());
     runner.run(make_random_race(rng, 4, 2, 2));
     runner.converge(0);
-    return std::make_pair(cluster->net.trace(), (*cluster)[0].tip());
+    return std::make_pair(cluster->net.trace_digest(), (*cluster)[0].tip());
   };
   auto [trace1, tip1] = run(777);
   auto [trace2, tip2] = run(777);

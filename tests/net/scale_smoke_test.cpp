@@ -48,10 +48,8 @@ TEST(ScaleSmoke, GossipAt128NodesStaysInsideEventBudget) {
   }
   EXPECT_EQ(c[0].height(), kBlocks);
 
-  // The budget held with room to spare, and the digest-mode trace kept
-  // no per-event memory.
+  // The budget held with room to spare.
   EXPECT_LT(c.net.stats().events_processed, kEventBudget);
-  EXPECT_TRUE(c.net.trace().empty());
 
   // Encoding happened once per block per node at most: the shared-buffer
   // relay and encoded-block cache keep re-encodes off the hot path.

@@ -30,7 +30,7 @@ KeyPair miner_key(std::uint64_t i) {
 }
 
 struct Outcome {
-  std::vector<net::TraceEntry> trace;
+  Digest trace_digest;
   Digest tip;
   Digest fingerprint;
   std::uint64_t height = 0;
@@ -61,7 +61,7 @@ Outcome run_scenario(std::uint64_t seed,
     EXPECT_EQ(ptrs[i]->tip(), ptrs[0]->tip()) << "seed " << seed << " node "
                                               << i;
   }
-  return {simnet.trace(), ptrs[0]->tip(),
+  return {simnet.trace_digest(), ptrs[0]->tip(),
           ptrs[0]->chain().state().state_fingerprint(), ptrs[0]->height()};
 }
 
@@ -73,7 +73,7 @@ TEST_P(ParallelConvergenceSweep, ParallelPipelineInvisibleToConsensus) {
   Outcome sequential = run_scenario(seed, {0, 0});
   Outcome parallel = run_scenario(seed, {2, std::size_t{1} << 16});
 
-  EXPECT_EQ(sequential.trace, parallel.trace) << "seed " << seed;
+  EXPECT_EQ(sequential.trace_digest, parallel.trace_digest) << "seed " << seed;
   EXPECT_EQ(sequential.tip, parallel.tip) << "seed " << seed;
   EXPECT_EQ(sequential.fingerprint, parallel.fingerprint) << "seed " << seed;
   EXPECT_EQ(sequential.height, parallel.height) << "seed " << seed;
