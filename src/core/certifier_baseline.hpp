@@ -36,7 +36,6 @@ class CertifierScheme {
   CertifierScheme(std::size_t n, std::size_t threshold, std::uint64_t seed);
 
   [[nodiscard]] std::size_t size() const { return certifiers_.size(); }
-  [[nodiscard]] std::size_t threshold() const { return threshold_; }
 
   /// Digest the certifiers sign: binds the same fields the Zendoo SNARK
   /// statement binds (quality, BT list, epoch boundary hashes).

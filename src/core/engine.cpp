@@ -78,6 +78,19 @@ void Engine::set_auto_certificates(const SidechainId& id, bool enabled) {
 }
 
 void Engine::resync_sidechains_after_reorg() {
+  // A queued certificate goes once the active chain has finalized its
+  // epoch or holds one for it of at least its quality, such as a peer's
+  // block carried: the miner would refuse it (§4.1.2).
+  std::erase_if(mempool_.certificates, [&](const auto& cert) {
+    const auto* sc = chain_.state().find_sidechain(cert.ledger_id);
+    if (sc == nullptr) return false;
+    if (sc->last_finalized_epoch &&
+        cert.epoch_id <= *sc->last_finalized_epoch) {
+      return true;
+    }
+    return sc->pending_cert && sc->pending_cert_epoch == cert.epoch_id &&
+           sc->pending_cert->quality >= cert.quality;
+  });
   for (auto& [id, entry] : sidechains_) {
     latus::LatusNode& node = *entry.node;
     std::optional<std::uint64_t> synced = node.last_observed_mc_height();

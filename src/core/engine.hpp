@@ -78,6 +78,8 @@ class Engine {
   /// active block after what it still holds; a plain catch-up is the
   /// zero-depth case. At the tip, a node that certifies queues its
   /// completed epochs' certificates while its sidechain can take them.
+  /// First, a queued certificate leaves the mempool once the active chain
+  /// has finalized its epoch or holds one for it of at least its quality.
   /// A rollback costs the same however long the node's history; SC-local
   /// mempool content submitted after the restored checkpoint is dropped.
   void resync_sidechains_after_reorg();

@@ -138,39 +138,19 @@ std::string LatusNode::observe_mc_block(const mainchain::Block& block) {
   return "";
 }
 
-void LatusNode::refresh_consensus_epoch(std::uint64_t epoch) const {
-  if (epoch == live_.cached_consensus_epoch) return;
-  live_.cached_consensus_epoch = epoch;
-  live_.epoch_stake = StakeDistribution(live_.state.stake_snapshot());
-  // Randomness: hash of the previous consensus epoch's last block (or a
-  // fixed genesis seed), revealed after the stake snapshot was fixed.
-  Digest prev_last = crypto::hash_str(Domain::kEpochRandomness, "genesis");
-  if (epoch > 0) {
-    std::size_t idx = static_cast<std::size_t>(epoch * slots_per_epoch_) - 1;
-    if (idx < chain_.size()) prev_last = chain_[idx].hash();
-  }
-  live_.epoch_rand = epoch_randomness(prev_last, epoch);
-}
-
 Address LatusNode::next_slot_leader() const {
-  std::uint64_t height = chain_.size();
-  std::uint64_t epoch = height / slots_per_epoch_;
-  std::uint64_t slot = height % slots_per_epoch_;
-  refresh_consensus_epoch(epoch);
-  if (live_.epoch_stake.empty()) {
-    if (forgers_.empty()) {
-      throw std::logic_error("LatusNode: no forgers registered");
-    }
-    return forgers_.front().address();  // bootstrap leader
+  if (forgers_.empty()) {
+    throw std::logic_error("LatusNode: no forgers registered");
   }
-  return select_slot_leader(live_.epoch_stake, live_.epoch_rand, epoch, slot);
+  return live_.leaders.leader(
+      chain_.size() + 1, slots_per_epoch_, live_.state,
+      forgers_.front().address(),
+      [&](std::uint64_t height) { return chain_[height - 1].hash(); });
 }
 
 std::string LatusNode::forge_block() {
   if (forgers_.empty()) return "no forgers registered";
   std::uint64_t new_height = chain_.size() + 1;
-  std::uint64_t epoch = (new_height - 1) / slots_per_epoch_;
-  std::uint64_t slot = (new_height - 1) % slots_per_epoch_;
 
   Address leader = next_slot_leader();
   const crypto::KeyPair* key = forger_for(leader);
@@ -179,71 +159,41 @@ std::string LatusNode::forge_block() {
   ScBlock block;
   block.header.prev_hash = chain_.empty() ? Digest{} : chain_.back().hash();
   block.header.height = new_height;
-  block.header.epoch = epoch;
-  block.header.slot = slot;
+  block.header.epoch = (new_height - 1) / slots_per_epoch_;
+  block.header.slot = (new_height - 1) % slots_per_epoch_;
   block.header.forger = leader;
 
   LatusState& state = live_.state;
   std::vector<snark::TransitionStep>& steps = live_.epoch_steps;
-  // Consume queued MC references in order, stopping after a withdrawal
-  // epoch boundary block (§5.1.1's simplifying restriction).
+  // Consume queued MC references in order, stopping after the one that
+  // closes the withdrawal epoch (§5.1.1's simplifying restriction).
   bool boundary = false;
   while (!live_.pending_refs.empty() && !boundary) {
-    McBlockReference ref = std::move(live_.pending_refs.front());
+    McBlockReference& ref =
+        block.mc_refs.emplace_back(std::move(live_.pending_refs.front()));
     live_.pending_refs.pop_front();
-    const std::uint64_t mc_height = ref.header.height;
-    if (std::string err = ref.verify(mc_params_.ledger_id); !err.empty()) {
-      return "queued MC reference invalid: " + err;
+    if (std::string err = apply_mc_reference(state, ref, &steps);
+        !err.empty()) {
+      return err;
     }
-    if (ref.forward_transfers) {
-      Digest before = state.commitment();
-      LatusState pre = state;
-      if (std::string err =
-              apply_forward_transfers(state, *ref.forward_transfers);
-          !err.empty()) {
-        return err;
-      }
-      steps.push_back(make_transition_step(
-          before, state.commitment(),
-          TransitionWitness{std::move(pre), *ref.forward_transfers}));
-    }
-    if (ref.bt_requests) {
-      Digest before = state.commitment();
-      LatusState pre = state;
-      if (std::string err = apply_btr(state, *ref.bt_requests);
-          !err.empty()) {
-        return err;
-      }
-      steps.push_back(make_transition_step(
-          before, state.commitment(),
-          TransitionWitness{std::move(pre), *ref.bt_requests}));
-    }
-    if (mc_height >= mc_params_.start_block &&
-        mc_height == mc_params_.epoch_end(live_.current_we)) {
-      boundary = true;
-    }
-    block.mc_refs.push_back(std::move(ref));
+    boundary = closes_epoch(mc_params_, live_.current_we, ref.header.height);
   }
 
   if (!boundary) {
     // Regular SC transactions; invalid ones are dropped (mempool policy).
+    crypto::SignatureMemo& memo = proofs_.signature_memo();
     for (PaymentTx& tx : live_.mempool_payments) {
-      Digest before = state.commitment();
-      LatusState pre = state;
-      if (apply_payment(state, tx, proofs_.signature_memo()).empty()) {
-        steps.push_back(make_transition_step(
-            before, state.commitment(), TransitionWitness{std::move(pre), tx}));
+      if (apply_step(state, tx, &steps, [&](LatusState& s) {
+            return apply_payment(s, tx, memo);
+          }).empty()) {
         block.payments.push_back(std::move(tx));
       }
     }
     live_.mempool_payments.clear();
     for (BackwardTransferTx& tx : live_.mempool_bts) {
-      Digest before = state.commitment();
-      LatusState pre = state;
-      if (apply_backward_transfer(state, tx, proofs_.signature_memo())
-              .empty()) {
-        steps.push_back(make_transition_step(
-            before, state.commitment(), TransitionWitness{std::move(pre), tx}));
+      if (apply_step(state, tx, &steps, [&](LatusState& s) {
+            return apply_backward_transfer(s, tx, memo);
+          }).empty()) {
         block.bt_txs.push_back(std::move(tx));
       }
     }
@@ -317,7 +267,7 @@ std::uint64_t LatusNode::Mutable::dynamic_usage() const {
              (sizeof(snark::TransitionStep) +
               sizeof(std::shared_ptr<const TransitionWitness>)) +
          pending_certs.size() * sizeof(std::shared_ptr<const EpochSnapshot>) +
-         epoch_stake.entries().size() *
+         leaders.stake.entries().size() *
              (sizeof(std::pair<Address, Amount>) + sizeof(Amount));
 }
 

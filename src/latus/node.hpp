@@ -7,6 +7,9 @@
 // (§5.4), and emits withdrawal certificates (§5.5.3.1) plus user-requested
 // BTR/CSW proofs (§5.5.3.2/.3).
 //
+// It forges through latus/validation.hpp's block rules, the ones a
+// ScValidator checks.
+//
 // The node plays all forger roles of the (simulated) sidechain network:
 // register stakeholder keys with add_forger() and the node signs each
 // block with whichever key the slot-leader schedule selects.
@@ -15,9 +18,7 @@
 #include <deque>
 #include <memory>
 
-#include "latus/consensus.hpp"
-#include "latus/proofs.hpp"
-#include "mainchain/params.hpp"
+#include "latus/validation.hpp"
 #include "obs/metrics.hpp"
 
 namespace zendoo::latus {
@@ -43,7 +44,7 @@ class LatusNode {
   ///    newer checkpoint.
   ///  - the mutable part (Mutable below): the state, the queued MC
   ///    references, the mempools, the epoch accumulator and the
-  ///    consensus-epoch cache. A checkpoint copies it. Its transition
+  ///    slot-leader cache. A checkpoint copies it. Its transition
   ///    witnesses and pending epoch snapshots are shared, immutable
   ///    objects, so the copy costs one pointer each; the state's MST
   ///    nodes are shared too, so only its UTXO map and dense mst_delta
@@ -95,8 +96,8 @@ class LatusNode {
 
   /// Forge one sidechain block: consumes queued MC references (stopping at
   /// a withdrawal-epoch boundary, §5.1.1) and, when not at a boundary, the
-  /// mempool. Invalid mempool transactions are dropped. Returns "" or a
-  /// diagnostic.
+  /// mempool. Invalid mempool transactions are dropped; the references were
+  /// verified when observed. Returns "" or a diagnostic.
   [[nodiscard]] std::string forge_block();
 
   /// Forge blocks until every queued MC reference is consumed.
@@ -210,13 +211,11 @@ class LatusNode {
     std::vector<snark::TransitionStep> epoch_steps;
     std::deque<std::shared_ptr<const EpochSnapshot>> pending_certs;
 
-    // Consensus-epoch cache (lazily refreshed; logically const). It was
+    // Slot-leader cache (lazily refreshed; logically const). It was
     // filled from the state at the consensus epoch's first slot, so a
     // rollback restores it rather than refilling it from the restored
     // state, which could elect other slot leaders.
-    mutable std::uint64_t cached_consensus_epoch = ~0ULL;
-    mutable StakeDistribution epoch_stake;
-    mutable Digest epoch_rand;
+    mutable SlotLeaders leaders;
   };
 
   /// Lengths of the append-only logs.
@@ -236,7 +235,6 @@ class LatusNode {
       const Utxo& utxo, const crypto::KeyPair& owner,
       const Address& mc_receiver) const;
   [[nodiscard]] const crypto::KeyPair* forger_for(const Address& addr) const;
-  void refresh_consensus_epoch(std::uint64_t epoch) const;
   /// Checkpoint the node every kCheckpointInterval MC heights once fully
   /// forged (no pending refs).
   void maybe_checkpoint();

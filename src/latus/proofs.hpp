@@ -115,9 +115,6 @@ class LatusProofSystem {
 
   LatusProofSystem(const SidechainId& ledger_id, unsigned mst_depth);
 
-  [[nodiscard]] const SidechainId& ledger_id() const { return ledger_id_; }
-  [[nodiscard]] unsigned mst_depth() const { return mst_depth_; }
-
   /// The recursive transition system (Base/Merge of Def 2.5).
   [[nodiscard]] const snark::TransitionProofSystem& transitions() const {
     return transitions_;

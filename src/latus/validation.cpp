@@ -2,35 +2,30 @@
 
 namespace zendoo::latus {
 
-ScValidator::ScValidator(const SidechainId& ledger_id, unsigned mst_depth,
-                         std::uint64_t slots_per_epoch,
-                         const Address& bootstrap_forger,
-                         std::uint64_t start_block, std::uint64_t epoch_len)
-    : ledger_id_(ledger_id),
+std::string apply_mc_reference(LatusState& state, McBlockReference& ref,
+                               std::vector<snark::TransitionStep>* steps) {
+  if (ref.forward_transfers) {
+    ForwardTransfersTx& tx = *ref.forward_transfers;
+    if (std::string err = apply_step(state, tx, steps, [&](LatusState& s) {
+          return apply_forward_transfers(s, tx);
+        });
+        !err.empty()) {
+      return err;
+    }
+  }
+  if (!ref.bt_requests) return "";
+  BtrTx& tx = *ref.bt_requests;
+  return apply_step(state, tx, steps,
+                    [&](LatusState& s) { return apply_btr(s, tx); });
+}
+
+ScValidator::ScValidator(const mainchain::SidechainParams& params,
+                         unsigned mst_depth, std::uint64_t slots_per_epoch,
+                         const Address& bootstrap_forger)
+    : params_(params),
       slots_per_epoch_(slots_per_epoch),
       bootstrap_forger_(bootstrap_forger),
-      start_block_(start_block),
-      epoch_len_(epoch_len),
       state_(mst_depth) {}
-
-Address ScValidator::expected_leader(std::uint64_t new_height) {
-  std::uint64_t epoch = (new_height - 1) / slots_per_epoch_;
-  std::uint64_t slot = (new_height - 1) % slots_per_epoch_;
-  if (epoch != cached_epoch_) {
-    cached_epoch_ = epoch;
-    epoch_stake_ = StakeDistribution(state_.stake_snapshot());
-    Digest prev_last =
-        crypto::hash_str(Domain::kEpochRandomness, "genesis");
-    if (epoch > 0) {
-      std::size_t idx =
-          static_cast<std::size_t>(epoch * slots_per_epoch_) - 1;
-      if (idx < hashes_.size()) prev_last = hashes_[idx];
-    }
-    epoch_rand_ = epoch_randomness(prev_last, epoch);
-  }
-  if (epoch_stake_.empty()) return bootstrap_forger_;
-  return select_slot_leader(epoch_stake_, epoch_rand_, epoch, slot);
-}
 
 std::string ScValidator::accept(const ScBlock& block) {
   const ScBlockHeader& h = block.header;
@@ -50,7 +45,9 @@ std::string ScValidator::accept(const ScBlock& block) {
   }
 
   // 3. Leadership and signature (§5.1).
-  Address leader = expected_leader(new_height);
+  Address leader = leaders_.leader(
+      new_height, slots_per_epoch_, state_, bootstrap_forger_,
+      [&](std::uint64_t height) { return hashes_[height - 1]; });
   if (h.forger != leader) return "block forged by non-leader";
   if (crypto::address_of(h.forger_pubkey) != h.forger) {
     return "forger public key does not match forger address";
@@ -65,45 +62,46 @@ std::string ScValidator::accept(const ScBlock& block) {
     return "SC body root mismatch";
   }
 
-  // 5. MC references: internally consistent and in MC-chain order
-  //    (§5.1's "consistent and ordered" rule).
+  // 5. MC references: internally consistent, in MC-chain order (§5.1's
+  //    "consistent and ordered" rule), and none after the one closing the
+  //    withdrawal epoch, whose block takes no SC transaction (§5.1.1).
   std::optional<Digest> prev_ref = last_mc_ref_;
+  bool boundary = false;
   for (const McBlockReference& ref : block.mc_refs) {
-    if (std::string err = ref.verify(ledger_id_); !err.empty()) {
+    if (boundary) return "MC reference after the withdrawal-epoch boundary";
+    if (std::string err = ref.verify(params_.ledger_id); !err.empty()) {
       return "MC reference invalid: " + err;
     }
     if (prev_ref && ref.header.prev_hash != *prev_ref) {
       return "MC references out of order";
     }
     prev_ref = ref.header.hash();
+    boundary = closes_epoch(params_, current_we_, ref.header.height);
+  }
+  if (boundary && (!block.payments.empty() || !block.bt_txs.empty())) {
+    return "SC transactions in a withdrawal-epoch boundary block";
   }
 
   // 6. Re-execute every transition and check the claimed derived fields
   //    and the final state commitment.
   LatusState replay = state_;
   for (const McBlockReference& ref : block.mc_refs) {
-    if (ref.forward_transfers) {
-      ForwardTransfersTx recomputed = *ref.forward_transfers;
-      if (std::string err = apply_forward_transfers(replay, recomputed);
-          !err.empty()) {
-        return err;
-      }
-      if (recomputed.outputs != ref.forward_transfers->outputs ||
-          !(recomputed.rejected_transfers ==
-            ref.forward_transfers->rejected_transfers)) {
-        return "FTTx derived fields do not match re-execution";
-      }
+    McBlockReference recomputed = ref;
+    if (std::string err = apply_mc_reference(replay, recomputed);
+        !err.empty()) {
+      return err;
     }
-    if (ref.bt_requests) {
-      BtrTx recomputed = *ref.bt_requests;
-      if (std::string err = apply_btr(replay, recomputed); !err.empty()) {
-        return err;
-      }
-      if (recomputed.consumed_inputs != ref.bt_requests->consumed_inputs ||
-          !(recomputed.backward_transfers ==
-            ref.bt_requests->backward_transfers)) {
-        return "BTRTx derived fields do not match re-execution";
-      }
+    if (const auto& ft = recomputed.forward_transfers;
+        ft && (ft->outputs != ref.forward_transfers->outputs ||
+               !(ft->rejected_transfers ==
+                 ref.forward_transfers->rejected_transfers))) {
+      return "FTTx derived fields do not match re-execution";
+    }
+    if (const auto& btr = recomputed.bt_requests;
+        btr && (btr->consumed_inputs != ref.bt_requests->consumed_inputs ||
+                !(btr->backward_transfers ==
+                  ref.bt_requests->backward_transfers))) {
+      return "BTRTx derived fields do not match re-execution";
     }
   }
   for (const PaymentTx& tx : block.payments) {
@@ -125,17 +123,8 @@ std::string ScValidator::accept(const ScBlock& block) {
     return "state commitment mismatch after re-execution";
   }
 
-  // Withdrawal-epoch boundary (§5.1.1/§5.2.1): a block whose reference
-  // reaches the last MC block of the current withdrawal epoch ends the
-  // epoch; the transient BT list and delta reset afterwards.
-  bool boundary = false;
-  for (const McBlockReference& ref : block.mc_refs) {
-    std::uint64_t mc_h = ref.header.height;
-    if (mc_h >= start_block_ &&
-        mc_h == start_block_ + (current_we_ + 1) * epoch_len_ - 1) {
-      boundary = true;
-    }
-  }
+  // A block closing the withdrawal epoch ends it (§5.2.1): the transient
+  // BT list and delta reset afterwards.
   if (boundary) {
     replay.begin_withdrawal_epoch();
     ++current_we_;

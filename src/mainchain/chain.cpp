@@ -239,7 +239,6 @@ Blockchain::SubmitResult invalid_result(std::string error, int dos = 0) {
 
 void Blockchain::init_metrics() {
   obs_ = std::make_shared<obs::Registry>();
-  events_ = std::make_shared<obs::EventLog>(64);
   m_submitted_ = obs_->counter("mc.blocks_submitted");
   m_connected_ = obs_->counter("mc.blocks_connected");
   m_disconnected_ = obs_->counter("mc.blocks_disconnected");
@@ -504,8 +503,6 @@ Blockchain::SubmitResult Blockchain::activate_branch(const Digest& tip) {
   if (depth > 0) {
     ++*m_reorgs_;
     m_reorg_depth_->record(depth);
-    ZENDOO_OBS_EVENT(*events_, kInfo, state_.height(), "mc",
-                     "reorg: branch switch", depth, new_branch.size());
   }
   m_height_->set(state_.height());
   return result;

@@ -72,10 +72,6 @@ class ChainState final : public StateView {
 
   // ---- Queries ----
   [[nodiscard]] std::size_t utxo_count() const { return utxos_.size(); }
-  [[nodiscard]] const std::map<SidechainId, SidechainStatus>& sidechains()
-      const {
-    return sidechains_;
-  }
 
   /// Total value of UTXOs owned by `addr` (test/wallet convenience).
   [[nodiscard]] Amount balance_of(const Address& addr) const;
@@ -252,9 +248,9 @@ class Blockchain {
 
   // ---- Observability ----
   //
-  // The registry and event log live behind shared_ptrs because a
-  // Blockchain is copyable (bench fixtures copy a pre-built chain per
-  // measurement): copies share one registry — the metric handles point
+  // The registry lives behind a shared_ptr because a Blockchain is
+  // copyable (bench fixtures copy a pre-built chain per measurement):
+  // copies share one registry — the metric handles point
   // into registry-owned storage, so they stay valid and both copies
   // count into the same metrics. "mc." counters count state-machine
   // transitions (reorg rollback/redo work included), so they can exceed
@@ -264,8 +260,6 @@ class Blockchain {
   // deterministic exports.
   [[nodiscard]] obs::Registry& registry() { return *obs_; }
   [[nodiscard]] const obs::Registry& registry() const { return *obs_; }
-  /// Reorg events (kInfo), timestamped with the post-reorg height.
-  [[nodiscard]] const obs::EventLog& event_log() const { return *events_; }
 
  private:
   [[nodiscard]] bool on_active_chain(const Digest& hash) const;
@@ -323,7 +317,6 @@ class Blockchain {
   /// Shared across copies (see the registry() comment). The raw
   /// pointers are hot-path handles into registry-owned metrics.
   std::shared_ptr<obs::Registry> obs_;
-  std::shared_ptr<obs::EventLog> events_;
   obs::Counter* m_submitted_ = nullptr;
   obs::Counter* m_connected_ = nullptr;
   obs::Counter* m_disconnected_ = nullptr;

@@ -266,9 +266,6 @@ void NetNode::ban_peer(NodeId peer) {
   st.banned_until = net_.now() + kBanDuration;
   ++st.bans;
   ++stats_.peers_banned;
-  ZENDOO_OBS_EVENT(events_, kWarn, net_.now(), "net", "peer banned",
-                   static_cast<std::uint64_t>(peer),
-                   static_cast<std::uint64_t>(st.score));
   net_.set_ban(id_, peer, st.banned_until);
 
   // Strand nothing on the dead connection: every download slot the peer
@@ -700,9 +697,6 @@ void NetNode::on_stall_timer() {
     if (++headers_attempts_ < kMaxRequestAttempts) {
       if (auto next = pick_header_peer(stalled_peer)) {
         ++stats_.stalled_rerequests;
-        ZENDOO_OBS_EVENT(events_, kDebug, now, "net", "header round stalled",
-                         static_cast<std::uint64_t>(stalled_peer),
-                         static_cast<std::uint64_t>(*next));
         request_headers(*next);
       }
     }

@@ -23,7 +23,7 @@
 #include "core/engine.hpp"
 #include "mainchain/codec.hpp"
 #include "net/sim.hpp"
-#include "obs/trace.hpp"
+#include "obs/metrics.hpp"
 
 namespace zendoo::net {
 
@@ -228,9 +228,6 @@ class NetNode {
   [[nodiscard]] obs::Registry& registry() { return registry_; }
   [[nodiscard]] const obs::Registry& registry() const { return registry_; }
 
-  /// Ring-buffered structured events (bans, stalls) timestamped in sim
-  /// ticks. Severities below ZENDOO_OBS_MIN_SEVERITY are compiled out.
-  [[nodiscard]] const obs::EventLog& event_log() const { return events_; }
   /// Blocks currently requested and unanswered (scheduler introspection).
   [[nodiscard]] std::size_t blocks_in_flight() const {
     return in_flight_.size();
@@ -348,7 +345,6 @@ class NetNode {
   /// Exposes stats_ (stable addresses: NetNode is pinned by net_'s
   /// callbacks and by this registry member — never copied or moved).
   obs::Registry registry_;
-  obs::EventLog events_{128};
 
   /// Content-addressed encoded-block cache: block hash -> shared kBlock
   /// wire payload, LRU-evicted. Sized to cover a catch-up window (peers

@@ -73,8 +73,6 @@ class AdversaryNode {
   AdversaryNode& operator=(const AdversaryNode&) = delete;
 
   [[nodiscard]] NodeId id() const { return id_; }
-  /// Wire messages this adversary pushed (floods + replies).
-  [[nodiscard]] std::uint64_t msgs_sent() const { return msgs_sent_; }
 
  protected:
   virtual void on_message(NodeId /*from*/,
@@ -86,13 +84,11 @@ class AdversaryNode {
     wire.reserve(body.size() + 1);
     wire.push_back(static_cast<std::uint8_t>(type));
     wire.insert(wire.end(), body.begin(), body.end());
-    ++msgs_sent_;
     net_.send(id_, to, std::move(wire));
   }
 
   SimNet& net_;
   NodeId id_ = 0;
-  std::uint64_t msgs_sent_ = 0;
 };
 
 /// Floods victims with PoW-valid blocks whose ancestry is fabricated —

@@ -46,7 +46,6 @@ class Value {
   explicit Value(Object o)
       : type_(Type::kObject), obj_(std::make_shared<Object>(std::move(o))) {}
 
-  [[nodiscard]] Type type() const { return type_; }
   [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
   [[nodiscard]] bool is_object() const { return type_ == Type::kObject; }
   [[nodiscard]] bool is_array() const { return type_ == Type::kArray; }

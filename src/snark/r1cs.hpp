@@ -82,9 +82,6 @@ class ConstraintSystem {
   [[nodiscard]] std::uint32_t num_variables() const {
     return 1 + num_public_ + num_witness_;
   }
-  [[nodiscard]] const std::vector<Constraint>& constraints() const {
-    return constraints_;
-  }
 
   /// True iff (public_vals, witness_vals) is a satisfying assignment.
   /// Vector sizes must match the allocation counts.

@@ -47,10 +47,8 @@ class EngineTest : public ::testing::Test {
   static void expect_chain_validates(const LatusNode& node,
                                      const KeyPair& bootstrap_forger,
                                      std::uint64_t slots_per_epoch = 8) {
-    const mainchain::SidechainParams& p = node.mc_params();
-    latus::ScValidator validator(p.ledger_id, node.state().depth(),
-                                 slots_per_epoch, bootstrap_forger.address(),
-                                 p.start_block, p.epoch_len);
+    latus::ScValidator validator(node.mc_params(), node.state().depth(),
+                                 slots_per_epoch, bootstrap_forger.address());
     for (const latus::ScBlock& b : node.chain()) {
       ASSERT_EQ(validator.accept(b), "") << "SC height " << b.header.height;
     }
@@ -632,6 +630,30 @@ TEST_F(EngineTest, ResyncQueuesNoCertificateTheActiveChainCarries) {
       node.create_btr(coins[0], alice_, alice_.address()));
   mainchain::Block next = engine_.step();
   EXPECT_EQ(next.btrs.size(), 1u);
+}
+
+TEST_F(EngineTest, PeerBlockCarryingACertificateClearsItFromTheMempool) {
+  // Engine b runs the same sidechain as engine_ and only follows engine_'s
+  // blocks. Epoch 0 (heights 2..5) completes at 5, so both queue its
+  // certificate; engine_ mines its own at 6. Once b holds block 6, its
+  // copy can never be mined (§4.1.2), so it leaves b's mempool.
+  standard_sidechain("sc-peer-cert");
+  Engine b(mainchain::ChainParams{}, bob_);
+  b.add_latus_sidechain(sc_id_, /*start_block=*/2, /*epoch_len=*/4,
+                        /*submit_len=*/2, {alice_}, /*mst_depth=*/10,
+                        /*slots_per_epoch=*/8);
+  for (std::uint64_t h = 1; h <= 5; ++h) {
+    ASSERT_TRUE(b.submit_external_block(engine_.step()).accepted());
+  }
+  ASSERT_EQ(b.mempool().certificates.size(), 1u);
+
+  mainchain::Block carrying = engine_.step();
+  ASSERT_EQ(carrying.certificates.size(), 1u);
+  EXPECT_EQ(carrying.certificates[0].hash(),
+            b.mempool().certificates[0].hash());
+  ASSERT_TRUE(b.submit_external_block(carrying).accepted());
+  EXPECT_TRUE(b.mempool().certificates.empty());
+  EXPECT_EQ(b.mc().tip_hash(), engine_.mc().tip_hash());
 }
 
 std::uint64_t gauge(Engine& engine, const mainchain::SidechainId& id,

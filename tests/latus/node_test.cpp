@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "latus/validation.hpp"
 #include "mainchain/miner.hpp"
 
@@ -172,8 +174,7 @@ TEST_F(NodeTest, ValidatorAcceptsHonestChain) {
     mine_and_observe({});
     ASSERT_EQ(node_.forge_until_synced(), "");
   }
-  ScValidator validator(node_.mc_params().ledger_id, 10, 8,
-                        alice_.address(), 2, 4);
+  ScValidator validator(node_.mc_params(), 10, 8, alice_.address());
   for (const ScBlock& b : node_.chain()) {
     ASSERT_EQ(validator.accept(b), "") << "at SC height " << b.header.height;
   }
@@ -183,73 +184,213 @@ TEST_F(NodeTest, ValidatorAcceptsHonestChain) {
 }
 
 TEST_F(NodeTest, ValidatorRejectsTamperedBlocks) {
-  fund_alice(50'000);
-  ASSERT_EQ(node_.forge_until_synced(), "");
-  auto make_validator = [&] {
-    return ScValidator(node_.mc_params().ledger_id, 10, 8, alice_.address(),
-                       2, 4);
-  };
-
-  // Baseline: the honest chain passes.
-  {
-    auto v = make_validator();
-    for (const ScBlock& b : node_.chain()) ASSERT_EQ(v.accept(b), "");
+  // Six SC blocks, all in alice's first consensus epoch:
+  //  [0] references MC 1-2; MC 2 funds alice with three coins;
+  //  [1] references MC 3 and carries a payment and a backward transfer;
+  //  [2] references MC 4; [3] MC 5, which closes withdrawal epoch 0;
+  //  [4] references MC 6, which carries epoch 0's certificate;
+  //  [5] references MC 7, which carries a BTR for alice's third coin.
+  fund_alice(10'000, 3);
+  auto coins = node_.state().utxos_of(alice_.address());
+  ASSERT_EQ(coins.size(), 3u);
+  node_.submit_payment(
+      build_payment({coins[0]}, alice_, {{bob_.address(), 10'000}}));
+  node_.submit_backward_transfer(build_backward_transfer(
+      {coins[1]}, alice_, {{alice_.address(), 10'000}}));
+  while (chain_.height() < 5) {
+    mine_and_observe({});
+    ASSERT_EQ(node_.forge_until_synced(), "");
   }
+  mainchain::Mempool with_cert;
+  with_cert.certificates.push_back(*node_.build_certificate());
+  mine_and_observe(with_cert);
+  ASSERT_EQ(node_.forge_until_synced(), "");
+  mainchain::Mempool with_btr;
+  with_btr.btrs.push_back(node_.create_btr(coins[2], alice_, alice_.address()));
+  mine_and_observe(with_btr);
+  ASSERT_EQ(node_.forge_until_synced(), "");
 
   const std::vector<ScBlock>& chain = node_.chain();
+  ASSERT_EQ(chain.size(), 6u);
+  ASSERT_EQ(chain[0].mc_refs.size(), 2u);
+  ASSERT_TRUE(chain[0].mc_refs[1].forward_transfers.has_value());
+  ASSERT_EQ(chain[1].payments.size(), 1u);
+  ASSERT_EQ(chain[1].bt_txs.size(), 1u);
+  ASSERT_TRUE(chain[5].mc_refs[0].bt_requests.has_value());
+  ASSERT_EQ(chain[5].mc_refs[0].bt_requests->backward_transfers.size(), 1u);
+  auto make_validator = [&] {
+    return ScValidator(node_.mc_params(), 10, 8, alice_.address());
+  };
+  {
+    auto v = make_validator();
+    for (const ScBlock& b : chain) ASSERT_EQ(v.accept(b), "");
+  }
 
-  {  // Tampered state commitment.
+  // Each tamper re-signs the block as alice, the leader of every slot
+  // here, so that no rule before the one it names fires.
+  auto resign = [&](ScBlock& b) {
+    b.header.forger_sig = alice_.sign(b.header.signing_digest());
+  };
+  auto rebody = [&](ScBlock& b) {
+    b.header.body_root = b.compute_body_root();
+    resign(b);
+  };
+  struct Case {
+    std::size_t at;  ///< index of the tampered block
+    std::string expected;
+    std::function<void(ScBlock&)> tamper;
+  };
+  const std::vector<Case> cases = {
+      {0, "SC block height mismatch",
+       [&](ScBlock& b) {
+         b.header.height = 5;
+         resign(b);
+       }},
+      {1, "SC block does not extend tip",
+       [&](ScBlock& b) {
+         b.header.prev_hash.bytes[0] ^= 1;
+         resign(b);
+       }},
+      {0, "SC block consensus epoch mismatch",
+       [&](ScBlock& b) {
+         b.header.epoch = 1;
+         resign(b);
+       }},
+      {0, "SC block slot mismatch",
+       [&](ScBlock& b) {
+         b.header.slot = 1;
+         resign(b);
+       }},
+      {0, "block forged by non-leader",
+       [&](ScBlock& b) {
+         b.header.forger = bob_.address();
+         resign(b);
+       }},
+      {0, "forger public key does not match forger address",
+       [&](ScBlock& b) {
+         b.header.forger_pubkey = bob_.public_key();
+         resign(b);
+       }},
+      {0, "invalid forger signature",
+       [&](ScBlock& b) {
+         b.header.forger_sig = tampered_s(b.header.forger_sig);
+       }},
+      {0, "SC body root mismatch",
+       [&](ScBlock& b) {
+         b.payments.push_back(PaymentTx{});
+         resign(b);
+       }},
+      {0,
+       "MC reference invalid: synced transactions do not match committed "
+       "TxsHash",
+       [&](ScBlock& b) {
+         b.mc_refs[1].forward_transfers->fts[0].ft.amount += 1;
+         rebody(b);
+       }},
+      {0, "MC references out of order",
+       [&](ScBlock& b) {
+         std::swap(b.mc_refs[0], b.mc_refs[1]);
+         rebody(b);
+       }},
+      {0, "FTTx derived fields do not match re-execution",
+       [&](ScBlock& b) {
+         b.mc_refs[1].forward_transfers->outputs[0].amount += 1;
+         rebody(b);
+       }},
+      {5, "BTRTx derived fields do not match re-execution",
+       [&](ScBlock& b) {
+         b.mc_refs[0].bt_requests->backward_transfers[0].amount += 1;
+         rebody(b);
+       }},
+      {1, "payment invalid: invalid input signature",
+       [&](ScBlock& b) {
+         SignedInput& in = b.payments[0].inputs[0];
+         in.sig = tampered_s(in.sig);
+         rebody(b);
+       }},
+      {1, "backward transfer invalid: invalid input signature",
+       [&](ScBlock& b) {
+         SignedInput& in = b.bt_txs[0].inputs[0];
+         in.sig = tampered_s(in.sig);
+         rebody(b);
+       }},
+      {0, "state commitment mismatch after re-execution",
+       [&](ScBlock& b) {
+         b.header.state_commitment.bytes[0] ^= 1;
+         resign(b);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.expected);
     auto v = make_validator();
-    ScBlock bad = chain[0];
-    bad.header.state_commitment.bytes[0] ^= 1;
-    EXPECT_NE(v.accept(bad), "");
+    for (std::size_t i = 0; i < c.at; ++i) ASSERT_EQ(v.accept(chain[i]), "");
+    ScBlock bad = chain[c.at];
+    c.tamper(bad);
+    EXPECT_EQ(v.accept(bad), c.expected);
+    EXPECT_EQ(v.height(), c.at);
   }
-  {  // Wrong forger (bob is not the scheduled leader / key mismatch).
-    auto v = make_validator();
-    ScBlock bad = chain[0];
-    bad.header.forger = bob_.address();
-    EXPECT_NE(v.accept(bad), "");
+}
+
+TEST_F(NodeTest, ValidatorEndsABlockAtTheWithdrawalEpochBoundary) {
+  // Withdrawal epoch 0 is MC heights 2..5. The SC block referencing MC 5
+  // closes it, so the forger puts neither MC 6's reference nor a payment
+  // into that block (§5.1.1). Leader-signed blocks that do are refused,
+  // though each carries the state commitment its contents reach.
+  fund_alice(50'000);
+  while (chain_.height() < 5) {
+    mine_and_observe({});
+    ASSERT_EQ(node_.forge_until_synced(), "");
   }
-  {  // Signature stripped.
-    auto v = make_validator();
-    ScBlock bad = chain[0];
-    bad.header.forger_sig.s =
-        crypto::u256::addmod(bad.header.forger_sig.s, crypto::u256{1},
-                             crypto::secp256k1::kN);
-    EXPECT_NE(v.accept(bad), "");
-  }
-  {  // Body tampered after signing.
-    auto v = make_validator();
-    ScBlock bad = chain[0];
-    bad.payments.push_back(PaymentTx{});
-    EXPECT_NE(v.accept(bad), "");
-  }
-  {  // FTTx derived fields forged (forger claims an extra output).
-    auto v = make_validator();
-    // Find a block with an FTTx.
-    for (ScBlock b : chain) {
-      bool has_ft = false;
-      for (auto& ref : b.mc_refs) {
-        if (ref.forward_transfers &&
-            !ref.forward_transfers->outputs.empty()) {
-          ref.forward_transfers->outputs[0].amount += 1;
-          has_ft = true;
-          break;
-        }
-      }
-      if (!has_ft) continue;
-      b.header.body_root = b.compute_body_root();
-      // Even with a recomputed body root (attacker-controlled), either the
-      // signature breaks or the re-execution catches the forged field.
-      EXPECT_NE(v.accept(b), "");
-      break;
+  mainchain::Mempool pool;
+  pool.transactions.push_back(*wallet_.forward_transfer(
+      chain_.state(), node_.mc_params().ledger_id,
+      {bob_.address(), bob_.address()}, 7'000));
+  mine_and_observe(pool);
+  ASSERT_EQ(node_.forge_until_synced(), "");
+
+  const std::vector<ScBlock>& chain = node_.chain();
+  const std::size_t closing = chain.size() - 2;
+  ASSERT_EQ(chain[closing].mc_refs.back().header.height, 5u);
+  const McBlockReference& next_ref = chain[closing + 1].mc_refs.front();
+  ASSERT_EQ(next_ref.header.height, 6u);
+  ASSERT_TRUE(next_ref.forward_transfers.has_value());
+  auto validator_before_closing = [&] {
+    ScValidator v(node_.mc_params(), 10, 8, alice_.address());
+    for (std::size_t i = 0; i < closing; ++i) {
+      EXPECT_EQ(v.accept(chain[i]), "");
     }
+    return v;
+  };
+  auto seal = [&](ScBlock& b, const LatusState& reached) {
+    b.header.state_commitment = reached.commitment();
+    b.header.body_root = b.compute_body_root();
+    b.header.forger_sig = alice_.sign(b.header.signing_digest());
+  };
+
+  {  // MC 6's reference appended: its forward transfer would land in epoch 0.
+    ScValidator v = validator_before_closing();
+    ScBlock bad = chain[closing];
+    bad.mc_refs.push_back(next_ref);
+    LatusState reached = v.state();
+    ForwardTransfersTx fttx = *next_ref.forward_transfers;
+    ASSERT_EQ(apply_forward_transfers(reached, fttx), "");
+    seal(bad, reached);
+    EXPECT_EQ(v.accept(bad),
+              "MC reference after the withdrawal-epoch boundary");
   }
-  {  // Out-of-sequence height.
-    auto v = make_validator();
-    ScBlock bad = chain[0];
-    bad.header.height = 5;
-    EXPECT_NE(v.accept(bad), "");
+  {  // A valid payment in the closing block.
+    ScValidator v = validator_before_closing();
+    ScBlock bad = chain[closing];
+    LatusState reached = v.state();
+    auto coins = reached.utxos_of(alice_.address());
+    ASSERT_EQ(coins.size(), 1u);
+    bad.payments.push_back(
+        build_payment({coins[0]}, alice_, {{bob_.address(), 50'000}}));
+    crypto::SignatureMemo memo;
+    ASSERT_EQ(apply_payment(reached, bad.payments[0], memo), "");
+    seal(bad, reached);
+    EXPECT_EQ(v.accept(bad),
+              "SC transactions in a withdrawal-epoch boundary block");
   }
 }
 

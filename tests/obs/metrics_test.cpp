@@ -151,40 +151,7 @@ TEST(Registry, LabeledFamilyNames) {
             "net.msgs_sent{type=block}");
 }
 
-// ---- EventLog ---------------------------------------------------------------
-
-TEST(EventLog, RingOverwritesOldestAndCountsDrops) {
-  EventLog log(3);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    log.push(Event{i, Severity::kInfo, "t", "event", i, 0});
-  }
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.total(), 5u);
-  EXPECT_EQ(log.dropped(), 2u);
-  const std::vector<Event> events = log.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].time, 2u);  // oldest surviving
-  EXPECT_EQ(events[2].time, 4u);
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_TRUE(log.snapshot().empty());
-}
-
-TEST(EventLog, MacroRespectsBuildTimeFloorAndFillsArgs) {
-  EventLog log(8);
-  // kTrace is below the default floor (1): compiled out entirely.
-  ZENDOO_OBS_EVENT(log, kTrace, 1, "t", "invisible");
-  EXPECT_EQ(log.total(), 0u);
-  ZENDOO_OBS_EVENT(log, kWarn, 7, "t", "peer banned", std::uint64_t{3},
-                   std::uint64_t{150});
-  ASSERT_EQ(log.size(), 1u);
-  const Event e = log.snapshot()[0];
-  EXPECT_EQ(e.time, 7u);
-  EXPECT_EQ(e.severity, Severity::kWarn);
-  EXPECT_STREQ(e.message, "peer banned");
-  EXPECT_EQ(e.a, 3u);
-  EXPECT_EQ(e.b, 150u);
-}
+// ---- ScopedTimer -----------------------------------------------------------
 
 TEST(ScopedTimer, NullHistogramIsInertAndRecordsWhenSet) {
   { ScopedTimer inert(nullptr); }  // must not crash
