@@ -7,6 +7,8 @@
 //
 // Series: one Fp::mul (a dependent chain, so it measures latency as the
 // point formulas see it), one signature, one verification, one
+// crypto::verify_batch over k signatures (BM_SchnorrVerifyBatch/k, with
+// its cost per signature as the counter `seconds_per_signature`), one
 // verification answered by a warm SignatureMemo (what a Latus node pays to
 // re-check a signature it already verified), one keypair derivation, one
 // SHA-256 compression through the kernel this process selected (the JSON
@@ -101,6 +103,35 @@ void BM_SchnorrVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchnorrVerify);
+
+void BM_SchnorrVerifyBatch(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const std::vector<KeyPair> ks = keys();
+  const std::vector<Digest> msgs = digests(2);
+  const std::vector<Signature> sigs = signatures(ks, msgs);
+  std::vector<crypto::SignatureCheck> pool;
+  pool.reserve(2 * kPool);
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < kPool; ++i) {
+      pool.push_back({ks[i].public_key(), msgs[i], sigs[i]});
+    }
+  }
+  // Batches of k consecutive signatures, starting one further each time.
+  std::size_t i = 0;
+  for (auto _ : state) {
+    bool ok = crypto::verify_batch(
+        std::span<const crypto::SignatureCheck>(&pool[i++ % kPool], k));
+    benchmark::DoNotOptimize(ok);
+    if (!ok) {
+      state.SkipWithError("valid batch rejected");
+      break;
+    }
+  }
+  state.counters["seconds_per_signature"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * k),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SchnorrVerifyBatch)->Arg(2)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_SchnorrVerifyMemoHit(benchmark::State& state) {
   const std::vector<KeyPair> ks = keys();

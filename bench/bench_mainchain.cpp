@@ -58,10 +58,10 @@ BENCHMARK(BM_BlockConnectPayments)
 void BM_BuildBlock(benchmark::State& state) {
   // Assembly of k signed payments whose signatures the verified-check
   // cache already holds (the first build fills it), so each build prices
-  // the assembler's own work. Per-build counters: cache_hits is 2k, k for
-  // the item pass and k for the final dry_run (k(k+1)/2 for the greedy
-  // assembler's k dry runs over growing blocks); checks_executed is 0
-  // once the cache is warm.
+  // the assembler's own work. Per-build counters: cache_hits is 3k, k for
+  // the batch over every mempool signature, k for the item pass and k for
+  // the final dry_run (k(k+1)/2 for the greedy assembler's k dry runs over
+  // growing blocks); checks_executed is 0 once the cache is warm.
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   auto miner_key = key_of("miner");
   Blockchain chain{ChainParams{}};

@@ -1,5 +1,7 @@
 #include "crypto/ecc.hpp"
 
+#include <array>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -19,6 +21,8 @@ const u256 kGy = u256::from_hex(
 namespace {
 // p = 2^256 - kC, kC = 2^32 + 977.
 constexpr std::uint64_t kC = 0x1000003D1ULL;
+// n = 2^256 - kNC, kNC < 2^129.
+constexpr u256 kNC{0x402DA1732FC9BEBFULL, 0x4551231950B75FC4ULL, 1, 0};
 }  // namespace
 
 Fp Fp::add(const Fp& o) const {
@@ -61,16 +65,31 @@ Fp Fp::mul(const Fp& o) const {
 
 Fp Fp::inv() const {
   if (is_zero()) throw std::invalid_argument("Fp::inv of zero");
-  // v^(p-2) by square-and-multiply using the fast field multiplication.
-  u256 e = secp256k1::kP - u256{2};
-  Fp result = Fp::one();
-  Fp base = *this;
-  int top = e.highest_bit();
-  for (int i = 0; i <= top; ++i) {
-    if (e.bit(static_cast<unsigned>(i))) result = result.mul(base);
-    base = base.sqr();
-  }
-  return result;
+  // v^(p-2) by libsecp256k1's addition chain. From the top, p - 2 has
+  // blocks of 223, 22, 1, 2 and 1 one bits, after each of which come 1, 4,
+  // 1 and 1 zero bits. x_k = v^(2^k - 1) builds the blocks, and the tail
+  // shifts each into place: 255 squarings and 15 multiplications, where
+  // square-and-multiply takes about 505 operations.
+  auto sqr_times = [](Fp x, int n) {
+    for (int i = 0; i < n; ++i) x = x.sqr();
+    return x;
+  };
+  const Fp& x1 = *this;
+  const Fp x2 = sqr_times(x1, 1).mul(x1);
+  const Fp x3 = sqr_times(x2, 1).mul(x1);
+  const Fp x6 = sqr_times(x3, 3).mul(x3);
+  const Fp x9 = sqr_times(x6, 3).mul(x3);
+  const Fp x11 = sqr_times(x9, 2).mul(x2);
+  const Fp x22 = sqr_times(x11, 11).mul(x11);
+  const Fp x44 = sqr_times(x22, 22).mul(x22);
+  const Fp x88 = sqr_times(x44, 44).mul(x44);
+  const Fp x176 = sqr_times(x88, 88).mul(x88);
+  const Fp x220 = sqr_times(x176, 44).mul(x44);
+  const Fp x223 = sqr_times(x220, 3).mul(x3);
+  Fp t = sqr_times(x223, 23).mul(x22);
+  t = sqr_times(t, 5).mul(x1);
+  t = sqr_times(t, 3).mul(x2);
+  return sqr_times(t, 2).mul(x1);
 }
 
 ECPoint ECPoint::generator() {
@@ -254,6 +273,27 @@ class GeneratorTable {
   Affine pts_[kWindows][kMultiples];
 };
 
+/// Every point of `jac` (none at infinity) in affine form, with one shared
+/// inversion (Montgomery's trick): prefix[k] = Z_0 * ... * Z_{k-1}, and
+/// one inversion of the whole product yields each 1/Z_k on the way back.
+std::vector<Affine> to_affine_all(const std::vector<ECPoint>& jac) {
+  std::vector<Fp> prefix(jac.size());
+  Fp acc = Fp::one();
+  for (std::size_t k = 0; k < jac.size(); ++k) {
+    prefix[k] = acc;
+    acc = acc.mul(jac[k].Z);
+  }
+  std::vector<Affine> out(jac.size());
+  Fp inv = acc.inv();
+  for (std::size_t k = jac.size(); k-- > 0;) {
+    Fp zinv = inv.mul(prefix[k]);
+    inv = inv.mul(jac[k].Z);
+    Fp zinv2 = zinv.sqr();
+    out[k] = {jac[k].X.mul(zinv2), jac[k].Y.mul(zinv2).mul(zinv)};
+  }
+  return out;
+}
+
 GeneratorTable::GeneratorTable() {
   std::vector<ECPoint> jac;
   jac.reserve(kWindows * kMultiples);
@@ -266,21 +306,9 @@ GeneratorTable::GeneratorTable() {
     }
     base = multiple;
   }
-  // One shared inversion (Montgomery's trick) takes every point to affine:
-  // prefix[k] = Z_0 * ... * Z_{k-1}.
-  std::vector<Fp> prefix(jac.size());
-  Fp acc = Fp::one();
-  for (std::size_t k = 0; k < jac.size(); ++k) {
-    prefix[k] = acc;
-    acc = acc.mul(jac[k].Z);
-  }
-  Fp inv = acc.inv();
-  for (std::size_t k = jac.size(); k-- > 0;) {
-    Fp zinv = inv.mul(prefix[k]);
-    inv = inv.mul(jac[k].Z);
-    Fp zinv2 = zinv.sqr();
-    pts_[k / kMultiples][k % kMultiples] = {jac[k].X.mul(zinv2),
-                                            jac[k].Y.mul(zinv2).mul(zinv)};
+  const std::vector<Affine> affine = to_affine_all(jac);
+  for (std::size_t k = 0; k < affine.size(); ++k) {
+    pts_[k / kMultiples][k % kMultiples] = affine[k];
   }
 }
 
@@ -289,7 +317,7 @@ const GeneratorTable& generator_table() {
   return table;
 }
 
-/// k*G for k in [1, n).
+/// k*G for k < n (infinity for k = 0).
 ECPoint mul_generator(const u256& k) {
   const GeneratorTable& table = generator_table();
   ECPoint acc = ECPoint::infinity();
@@ -314,6 +342,82 @@ ECPoint mul_generator_add(const u256& a, const Affine& p, const u256& b) {
     acc = acc.dbl().dbl().dbl().dbl();
     if (unsigned d = nibble(a, i)) acc = add_affine(acc, table.at(0, d));
     if (unsigned d = nibble(b, i)) acc = acc.add(ptab[d - 1]);
+  }
+  return acc;
+}
+
+// Width-5 signed digits: k = sum of digit[i] * 2^i, every nonzero digit
+// odd and in [-15, 15], and at most one nonzero digit in any 5 consecutive
+// positions. A 256-bit scalar then costs about 256/6 additions from a
+// table of 8 odd multiples (1, 3, ..., 15), whose negatives are free.
+constexpr unsigned kWnafDigits = 257;
+constexpr unsigned kOddMultiples = 8;
+using Wnaf = std::array<std::int8_t, kWnafDigits>;
+
+/// The 5 bits of k from bit i up (bits past 255 read as zero).
+unsigned bits5(const u256& k, unsigned i) {
+  if (i >= 256) return 0;
+  const unsigned limb = i / 64, shift = i % 64;
+  std::uint64_t v = k.limb[limb] >> shift;
+  if (shift > 59 && limb < 3) v |= k.limb[limb + 1] << (64 - shift);
+  return static_cast<unsigned>(v) & 31;
+}
+
+/// The width-5 signed digits of k, least significant first. A negative
+/// digit d stands for the window value d + 32, and the 32 is carried into
+/// the next window.
+Wnaf wnaf5(const u256& k) {
+  Wnaf digits{};
+  unsigned carry = 0;
+  for (unsigned i = 0; i < kWnafDigits;) {
+    const unsigned bit = i < 256 && k.bit(i);
+    if (bit == carry) {  // digit 0; a carry moves on to the next bit
+      ++i;
+      continue;
+    }
+    const unsigned word = bits5(k, i) + carry;  // odd, in [1, 31]
+    carry = word >> 4;
+    digits[i] = static_cast<std::int8_t>(static_cast<int>(word) -
+                                         static_cast<int>(carry << 5));
+    i += 5;
+  }
+  return digits;
+}
+
+/// sum of scalars[t] * bases[t] in one Strauss pass: a single chain of
+/// doublings is shared by every term, and each term adds one entry of its
+/// table of odd multiples per nonzero width-5 digit. The tables are built
+/// in Jacobian form and made affine together, with one inversion.
+ECPoint multi_mul(std::span<const Affine> bases,
+                  std::span<const u256> scalars) {
+  std::vector<ECPoint> jac;
+  jac.reserve(bases.size() * kOddMultiples);
+  for (const Affine& b : bases) {
+    ECPoint multiple{b.x, b.y, Fp::one()};
+    const ECPoint twice = multiple.dbl();
+    jac.push_back(multiple);
+    for (unsigned j = 1; j < kOddMultiples; ++j) {
+      multiple = multiple.add(twice);
+      jac.push_back(multiple);
+    }
+  }
+  const std::vector<Affine> table = to_affine_all(jac);
+
+  std::vector<Wnaf> digits;
+  digits.reserve(scalars.size());
+  for (const u256& k : scalars) digits.push_back(wnaf5(k));
+  // One chain over every digit position, most significant first; until
+  // the first addition it doubles infinity, which costs nothing.
+  ECPoint acc = ECPoint::infinity();
+  for (unsigned i = kWnafDigits; i-- > 0;) {
+    acc = acc.dbl();
+    for (std::size_t t = 0; t < digits.size(); ++t) {
+      const int d = digits[t][i];
+      if (d == 0) continue;
+      const Affine& e = table[t * kOddMultiples + static_cast<unsigned>(
+                                                      (d < 0 ? -d : d) / 2)];
+      acc = add_affine(acc, d > 0 ? e : Affine{e.x, e.y.neg()});
+    }
   }
   return acc;
 }
@@ -344,9 +448,22 @@ Signature KeyPair::sign(const Digest& msg) const {
   u256 k = digest_to_scalar(kd);
   auto [rx, ry] = mul_generator(k).to_affine();
   u256 e = challenge(rx, ry, pk_, msg);
-  u256 s = u256::addmod(k, u256::mulmod(e, sk_, secp256k1::kN),
-                        secp256k1::kN);
+  u256 s = u256::addmod(k, mul_mod_n(e, sk_), secp256k1::kN);
   return Signature{rx, ry, s};
+}
+
+u256 mul_mod_n(const u256& a, const u256& b) {
+  // hi*2^256 + lo == lo + hi*kNC (mod n). The first fold leaves a high
+  // half below 2^129 + 1, the second one below 2^4, the third 0 or 1, and
+  // a fourth, if needed, cannot carry. What is left is below 2^256 < 2n.
+  auto [hi, lo] = u256::mul_wide(a, b);
+  while (!hi.is_zero()) {
+    auto [fold_hi, fold_lo] = u256::mul_wide(hi, kNC);
+    const bool carry = u256::add_with_carry(fold_lo, lo, lo);
+    hi = fold_hi + u256{carry ? 1u : 0u};
+  }
+  if (!(lo < secp256k1::kN)) lo = lo - secp256k1::kN;
+  return lo;
 }
 
 bool verify_signature(const std::pair<u256, u256>& public_key,
@@ -362,6 +479,57 @@ bool verify_signature(const std::pair<u256, u256>& public_key,
   // ECPoint::equals against R with Z_R = 1.
   Fp zz = q.Z.sqr();
   return q.X == r.x.mul(zz) && q.Y == r.y.mul(zz).mul(q.Z);
+}
+
+std::vector<u256> batch_weights(std::span<const SignatureCheck> batch) {
+  if (batch.empty()) return {};
+  Hasher h(Domain::kSignature);
+  h.write_str("batch").write_u64(batch.size());
+  for (const SignatureCheck& c : batch) {
+    h.write(c.pubkey.first).write(c.pubkey.second).write(c.msg);
+    h.write(c.sig.rx).write(c.sig.ry).write(c.sig.s);
+  }
+  const Digest seed = h.finalize();
+  std::vector<u256> weights(batch.size());
+  weights[0] = u256{1};
+  for (std::size_t i = 1; i < batch.size(); ++i) {
+    u256 w = Hasher(Domain::kSignature).write(seed).write_u64(i).finalize()
+                 .as_u256();
+    w.limb[2] = w.limb[3] = 0;
+    weights[i] = w.is_zero() ? u256{1} : w;
+  }
+  return weights;
+}
+
+bool verify_batch(std::span<const SignatureCheck> batch) {
+  if (batch.size() == 1) {
+    return verify_signature(batch[0].pubkey, batch[0].msg, batch[0].sig);
+  }
+  const std::vector<u256> weights = batch_weights(batch);
+  // Signature i holds when s_i G - e_i P_i - R_i = O. Weighted by a_i and
+  // summed: G's scalar is sum a_i s_i, R_i's is a_i (on -R_i, so that it
+  // is a plain 128-bit scalar) and P_i's is a_i (n - e_i), all mod n.
+  u256 g_scalar;
+  std::vector<Affine> bases;
+  std::vector<u256> scalars;
+  bases.reserve(2 * batch.size());
+  scalars.reserve(2 * batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto& [pubkey, msg, sig] = batch[i];
+    if (sig.s.is_zero() || !(sig.s < secp256k1::kN)) return false;
+    const Affine r{Fp::from(sig.rx), Fp::from(sig.ry)};
+    const Affine p{Fp::from(pubkey.first), Fp::from(pubkey.second)};
+    if (!on_curve(r) || !on_curve(p)) return false;
+    const u256 e = challenge(sig.rx, sig.ry, pubkey, msg);
+    g_scalar = u256::addmod(g_scalar, mul_mod_n(weights[i], sig.s),
+                            secp256k1::kN);
+    bases.push_back({r.x, r.y.neg()});
+    scalars.push_back(weights[i]);
+    bases.push_back(p);
+    scalars.push_back(mul_mod_n(weights[i], secp256k1::kN - e));
+  }
+  // G's term comes from the fixed-base comb, with no doublings.
+  return multi_mul(bases, scalars).add(mul_generator(g_scalar)).is_infinity();
 }
 
 }  // namespace zendoo::crypto

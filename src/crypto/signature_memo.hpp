@@ -8,6 +8,13 @@
 // repeat of a triple that already verified, so each distinct signature
 // costs one verification per node.
 //
+// A node that is about to check many signatures primes the memo first:
+// prime() verifies every triple the memo does not hold yet with one
+// crypto::verify_batch, which shares one doubling chain across them, and
+// remembers them all if the batch passes. The checks that follow are hits.
+// A batch holding a bad triple remembers nothing, so each check then
+// verifies its own triple and the bad one is rejected where it is met.
+//
 // Why a hit is sound: the key is a SHA-256 digest of the whole triple —
 // both public-key coordinates, the signing digest and all three signature
 // fields — so a hit means this exact triple passed verify_signature
@@ -19,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include "crypto/digest_set.hpp"
@@ -28,8 +36,9 @@ namespace zendoo::crypto {
 
 /// Counters exposed for tests and benchmarks.
 struct SignatureMemoStats {
-  std::uint64_t executed = 0;  ///< verify_signature calls actually run
-  std::uint64_t hits = 0;      ///< checks answered from the memo
+  /// Triples verified: by verify_signature, or once each in a prime batch.
+  std::uint64_t executed = 0;
+  std::uint64_t hits = 0;  ///< checks answered from the memo
 };
 
 /// One node's memo. Not thread-safe: a node forges and proves on one
@@ -51,6 +60,11 @@ class SignatureMemo {
   /// exact triple verified before.
   [[nodiscard]] bool verify(const std::pair<u256, u256>& pubkey,
                             const Digest& msg, const Signature& sig);
+
+  /// Verifies the distinct triples of `checks` that the memo does not
+  /// hold yet with one crypto::verify_batch, and remembers them all if it
+  /// passes; a failed batch remembers nothing.
+  void prime(std::span<const SignatureCheck> checks);
 
   [[nodiscard]] SignatureMemoStats stats() const { return stats_; }
 

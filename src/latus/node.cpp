@@ -181,7 +181,9 @@ std::string LatusNode::forge_block() {
 
   if (!boundary) {
     // Regular SC transactions; invalid ones are dropped (mempool policy).
+    // Their signatures are verified first, in one batch into the memo.
     crypto::SignatureMemo& memo = proofs_.signature_memo();
+    prime_spend_signatures(live_.mempool_payments, live_.mempool_bts, memo);
     for (PaymentTx& tx : live_.mempool_payments) {
       if (apply_step(state, tx, &steps, [&](LatusState& s) {
             return apply_payment(s, tx, memo);

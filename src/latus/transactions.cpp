@@ -238,6 +238,21 @@ std::string apply_transaction(LatusState& state, TxVariant& tx,
       tx);
 }
 
+void prime_spend_signatures(std::span<const PaymentTx> payments,
+                            std::span<const BackwardTransferTx> bts,
+                            crypto::SignatureMemo& memo) {
+  std::vector<crypto::SignatureCheck> checks;
+  auto add = [&](const std::vector<SignedInput>& inputs,
+                 const Digest& signing_digest) {
+    for (const SignedInput& in : inputs) {
+      checks.push_back({in.pubkey, signing_digest, in.sig});
+    }
+  };
+  for (const PaymentTx& tx : payments) add(tx.inputs, tx.signing_digest());
+  for (const BackwardTransferTx& tx : bts) add(tx.inputs, tx.signing_digest());
+  memo.prime(checks);
+}
+
 namespace {
 
 /// Unique, deterministic nonces for newly created outputs: derived from the

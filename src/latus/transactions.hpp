@@ -16,9 +16,12 @@
 // digest, signature) triples that verify_signature accepted, keyed by all
 // of their bytes, and the signing digest is recomputed from the
 // transaction at every check. A tampered signature, or any changed signed
-// field, misses the memo and is verified, and rejected, in full.
+// field, misses the memo and is verified, and rejected, in full. Before a
+// run of transactions, prime_spend_signatures verifies all of their
+// signatures in one batch into the memo.
 #pragma once
 
+#include <span>
 #include <string>
 #include <variant>
 
@@ -121,6 +124,14 @@ using TxVariant =
 /// Dispatch over TxVariant.
 [[nodiscard]] std::string apply_transaction(LatusState& state, TxVariant& tx,
                                             crypto::SignatureMemo& memo);
+
+/// Verifies the spend signatures of `payments` and `bts` in one batch into
+/// `memo` (SignatureMemo::prime), so that applying the transactions
+/// afterwards finds each valid one there. LatusNode::forge_block primes
+/// with its mempool, ScValidator::accept with a block's transactions.
+void prime_spend_signatures(std::span<const PaymentTx> payments,
+                            std::span<const BackwardTransferTx> bts,
+                            crypto::SignatureMemo& memo);
 
 // ---- builders ----
 

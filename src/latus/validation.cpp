@@ -104,6 +104,7 @@ std::string ScValidator::accept(const ScBlock& block) {
       return "BTRTx derived fields do not match re-execution";
     }
   }
+  prime_spend_signatures(block.payments, block.bt_txs, signature_memo_);
   for (const PaymentTx& tx : block.payments) {
     if (std::string err = apply_payment(replay, tx, signature_memo_);
         !err.empty()) {

@@ -107,8 +107,9 @@ class ScValidator {
   Address bootstrap_forger_;
   std::uint64_t current_we_ = 0;
   LatusState state_;
-  /// This validator's own verified-signature memo (a block's two-input
-  /// payments verify their copied signature once).
+  /// This validator's own verified-signature memo: a block's spend
+  /// signatures are verified in one batch into it, and a two-input
+  /// payment's copied signature is verified once.
   crypto::SignatureMemo signature_memo_;
   std::vector<Digest> hashes_;
   /// Hash of the previously referenced MC block (reference ordering rule).

@@ -37,6 +37,20 @@ Block Miner::build_block(const Mempool& pool) const {
   block.header.height = height;
   block.transactions.emplace_back();  // the coinbase, once fees are known
 
+  // Every mempool signature in one batch first: the per-item batches and
+  // the final dry_run then find them in the verified-check cache. A batch
+  // holding a bad signature caches nothing, and each item verifies its own.
+  {
+    parallel::BatchProofVerifier signatures(vctx);
+    for (const Transaction& tx : pool.transactions) {
+      const Digest signing = tx.signing_digest();
+      for (const TxInput& in : tx.inputs) {
+        signatures.add_signature(in.pubkey, signing, in.sig, "");
+      }
+    }
+    (void)signatures.run();
+  }
+
   CacheView block_view(state);
   if (std::string err = finalize_epochs(block_view, height); !err.empty()) {
     throw std::logic_error("build_block: " + err);

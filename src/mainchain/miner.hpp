@@ -42,15 +42,17 @@ class Miner {
       : chain_(chain), coinbase_address_(coinbase_address) {}
 
   /// Assemble a valid block from `pool` on the current tip in one pass,
-  /// the shape of Bitcoin Core's BlockAssembler. Epochs are finalized
-  /// once into a block overlay. Each item is applied with apply_block's
-  /// per-item rules into a nested overlay, with its own proof batch, and
-  /// kept iff it validates. A second certificate for one sidechain is
-  /// skipped, and so is a BTR against a certificate in this block. Then
-  /// the coinbase claims subsidy + the fees of the kept transactions, both
-  /// header commitments are computed, and the nonce is mined. A final
-  /// dry_run of the finished block plays TestBlockValidity: it throws
-  /// std::logic_error if the block is invalid, which is a bug.
+  /// the shape of Bitcoin Core's BlockAssembler. The input signatures of
+  /// every mempool transaction are verified first, in one batch that
+  /// primes the verified-check cache. Epochs are finalized once into a
+  /// block overlay. Each item is applied with apply_block's per-item rules
+  /// into a nested overlay, with its own proof batch, and kept iff it
+  /// validates; its signatures are cache hits. A second certificate for
+  /// one sidechain is skipped, and so is a BTR against a certificate in
+  /// this block. Then the coinbase claims subsidy + the fees of the kept
+  /// transactions, both header commitments are computed, and the nonce is
+  /// mined. A final dry_run of the finished block plays TestBlockValidity:
+  /// it throws std::logic_error if the block is invalid, which is a bug.
   [[nodiscard]] Block build_block(const Mempool& pool) const;
 
   /// Build from `pool`, mine, and submit. Returns the submit result and,

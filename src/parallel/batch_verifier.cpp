@@ -1,25 +1,39 @@
 #include "parallel/batch_verifier.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <chrono>
+#include <unordered_set>
 
 #include "crypto/signature_memo.hpp"
 
 namespace zendoo::parallel {
 
 bool ProofCheck::operator()() const {
-  obs::AtomicScopedTimer timer(latency_hist);
-  switch (kind) {
-    case Kind::kSnark:
-      return snark::PredicateSnark::verify(vk, statement, proof);
-    case Kind::kSignature:
-      return crypto::verify_signature(pubkey, msg, sig);
+  if (kind == Kind::kSnark) {
+    obs::AtomicScopedTimer timer(latency_hist);
+    return snark::PredicateSnark::verify(vk, statement, proof);
   }
-  return false;
+  const auto start = std::chrono::steady_clock::now();
+  const bool ok = crypto::verify_batch(signatures);
+  if (latency_hist != nullptr && !signatures.empty()) {
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    const std::uint64_t share =
+        static_cast<std::uint64_t>(ns) / signatures.size();
+    for (std::size_t i = 0; i < signatures.size(); ++i) {
+      latency_hist->record(share);
+    }
+  }
+  return ok;
 }
 
 Digest ProofCheck::cache_key() const {
   if (kind == Kind::kSignature) {
-    return crypto::SignatureMemo::key(pubkey, msg, sig);
+    assert(signatures.size() == 1);
+    const crypto::SignatureCheck& c = signatures.front();
+    return crypto::SignatureMemo::key(c.pubkey, c.msg, c.sig);
   }
   crypto::Hasher h(crypto::Domain::kGeneric);
   h.write_str("check:snark").write(vk.id);
@@ -89,9 +103,7 @@ void BatchProofVerifier::add_signature(
     const crypto::Signature& sig, std::string error) {
   Entry e;
   e.check.kind = ProofCheck::Kind::kSignature;
-  e.check.pubkey = pubkey;
-  e.check.msg = msg;
-  e.check.sig = sig;
+  e.check.signatures.push_back({pubkey, msg, sig});
   e.error = std::move(error);
   pending_.push_back(std::move(e));
 }
@@ -102,33 +114,69 @@ std::string BatchProofVerifier::run() {
   if (pending_.empty()) return "";
   ctx_.count_batch();
 
-  // Cache filter: checks verified in an earlier validation of the same
-  // content (a dry_run of this very block, a shared ancestor branch) are
-  // skipped outright.
+  // Each distinct check runs once: a copy of an earlier one is skipped, and
+  // so is a check verified in an earlier validation of the same content (a
+  // dry_run of this very block, a shared ancestor branch).
   std::vector<std::size_t> to_run;
   std::vector<Digest> keys;
+  std::unordered_set<Digest, crypto::DigestHash> seen;
   to_run.reserve(pending_.size());
   keys.reserve(pending_.size());
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     Digest key = pending_[i].check.cache_key();
-    if (!ctx_.cache_contains(key)) {
-      to_run.push_back(i);
-      keys.push_back(key);
-    }
+    if (!seen.insert(key).second || ctx_.cache_contains(key)) continue;
+    to_run.push_back(i);
+    keys.push_back(key);
   }
   if (to_run.empty()) return "";
   ctx_.count_executed(to_run.size());
   ctx_.record_batch_size(to_run.size());
 
-  std::vector<ProofCheck> batch;
-  batch.reserve(to_run.size());
+  // The signatures first, in contiguous groups, one per verifying thread.
+  // Every group below the first failing one passed (the queue reports the
+  // lowest failing index), so its signatures are settled.
+  std::vector<std::size_t> sig_idx;
   for (std::size_t idx : to_run) {
+    if (pending_[idx].check.kind == ProofCheck::Kind::kSignature) {
+      sig_idx.push_back(idx);
+    }
+  }
+  const std::size_t groups = std::min(sig_idx.size(), ctx_.verifying_threads());
+  std::vector<ProofCheck> grouped(groups);
+  for (std::size_t g = 0; g < groups; ++g) {
+    grouped[g].kind = ProofCheck::Kind::kSignature;
+    grouped[g].latency_hist = ctx_.latency_hist(ProofCheck::Kind::kSignature);
+    for (std::size_t j = g * sig_idx.size() / groups;
+         j < (g + 1) * sig_idx.size() / groups; ++j) {
+      grouped[g].signatures.push_back(
+          pending_[sig_idx[j]].check.signatures.front());
+    }
+  }
+  const CheckResult grouped_result =
+      ctx_.queue().run_batch(std::move(grouped));
+  const std::size_t passed =
+      grouped_result.ok
+          ? sig_idx.size()
+          : grouped_result.first_failure * sig_idx.size() / groups;
+  const std::size_t unsettled =
+      passed < sig_idx.size() ? sig_idx[passed] : pending_.size();
+
+  // Then the SNARK proofs, and one by one the signatures from `unsettled`
+  // on, in add order.
+  std::vector<ProofCheck> batch;
+  std::vector<std::size_t> origin;
+  for (std::size_t idx : to_run) {
+    if (idx < unsettled &&
+        pending_[idx].check.kind == ProofCheck::Kind::kSignature) {
+      continue;
+    }
     ProofCheck check = std::move(pending_[idx].check);
     check.latency_hist = ctx_.latency_hist(check.kind);
     batch.push_back(std::move(check));
+    origin.push_back(idx);
   }
   CheckResult result = ctx_.queue().run_batch(std::move(batch));
-  if (!result.ok) return pending_[to_run[result.first_failure]].error;
+  if (!result.ok) return pending_[origin[result.first_failure]].error;
   for (const Digest& key : keys) ctx_.cache_insert(key);
   return "";
 }

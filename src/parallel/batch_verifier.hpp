@@ -9,12 +9,21 @@
 // to commit (the asyncproofverifier pattern of the reference
 // implementations).
 //
+// Each distinct check runs once per batch: a transaction's inputs carry
+// one copied signature, and it is verified for the first of them. The
+// distinct signatures are verified together, one crypto::verify_batch per
+// verifying thread, which shares one doubling chain across a group's
+// signatures. A group that fails has its signatures checked one by one,
+// so the diagnostic is the one a sequential run would give.
+//
 // ValidationContext is the per-chain runtime: it owns the lazily started
 // worker pool plus a bounded cache of already-verified checks, shared
 // between dry_run, connect_block and block assembly so the same proof is
 // never paid for twice (the miner's per-item checks, then its final
 // dry_run and the connect of the block it built; probe-then-connect
-// gossip flows).
+// gossip flows). A batch run only to fill that cache primes it: the miner
+// verifies every mempool signature in one batch before its per-item
+// pass, whose batches then find them there.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +44,10 @@ namespace zendoo::parallel {
 
 using crypto::Digest;
 
-/// One deferred stateless check: either a SNARK proof verification or a
-/// Schnorr signature verification. Self-contained — executing it touches
-/// no chain state, so any thread may run it.
+/// One deferred stateless check: either a SNARK proof verification or
+/// Schnorr signatures verified together by one crypto::verify_batch.
+/// Self-contained — executing it touches no chain state, so any thread may
+/// run it.
 struct ProofCheck {
   enum class Kind : std::uint8_t { kSnark, kSignature };
 
@@ -46,10 +56,9 @@ struct ProofCheck {
   snark::VerifyingKey vk;
   snark::Statement statement;
   snark::Proof proof;
-  // kSignature
-  std::pair<crypto::u256, crypto::u256> pubkey;
-  Digest msg;
-  crypto::Signature sig;
+  // kSignature: one signature as collected; BatchProofVerifier::run
+  // groups the distinct ones, one group per verifying thread.
+  std::vector<crypto::SignatureCheck> signatures;
 
   /// Per-check-kind verify-latency histogram (wall clock), set by
   /// BatchProofVerifier::run before execution; null = untimed. Any
@@ -57,22 +66,27 @@ struct ProofCheck {
   /// work across the CheckQueue worker pool. Not part of cache_key.
   obs::AtomicHistogram* latency_hist = nullptr;
 
-  /// Executes the verification (timed when latency_hist is set).
+  /// Executes the verification (timed when latency_hist is set: one
+  /// sample per signature, each an equal share of the group's time).
   /// True = check passed.
   [[nodiscard]] bool operator()() const;
 
-  /// Content digest identifying this check in the verified-check cache.
-  /// Both check kinds are pure functions of their payload, so a cached
-  /// success is valid in any later validation context.
+  /// Content digest identifying a collected check (a SNARK proof or one
+  /// signature) in the verified-check cache. Both check kinds are pure
+  /// functions of their payload, so a cached success is valid in any later
+  /// validation context.
   [[nodiscard]] Digest cache_key() const;
 };
 
 /// Counters exposed for tests and benchmarks.
 struct ValidationStats {
-  std::uint64_t checks_executed = 0;  ///< verifications actually run
-  std::uint64_t cache_hits = 0;       ///< checks satisfied from the cache
-  /// Batch runs: one per apply_block and one per item Miner::build_block
-  /// verifies; a batch with no checks is not counted.
+  /// Distinct checks verified: a check a batch holds more than once counts
+  /// once, and one a cache hit answered not at all.
+  std::uint64_t checks_executed = 0;
+  std::uint64_t cache_hits = 0;  ///< checks satisfied from the cache
+  /// Batch runs: one per apply_block, and in Miner::build_block one over
+  /// the mempool signatures plus one per item it verifies; a batch with no
+  /// checks is not counted.
   std::uint64_t batches = 0;
 };
 
@@ -86,6 +100,10 @@ class ValidationContext {
   /// The worker pool, started on first use (so a runtime that never
   /// verifies a batch spawns no threads).
   CheckQueue<ProofCheck>& queue();
+  /// Threads that run a batch: the workers plus the caller.
+  [[nodiscard]] std::size_t verifying_threads() const {
+    return config_.worker_threads + 1;
+  }
 
   /// True when `key` is a known-verified check (counts a cache hit).
   [[nodiscard]] bool cache_contains(const Digest& key);
@@ -134,7 +152,9 @@ class ValidationContext {
 /// application completes or at the point of a stateful failure (every
 /// check collected so far logically precedes that failure in sequential
 /// order, so its first failure wins). The miner runs it only for an item
-/// that passed every stateful rule, since a failed item is dropped anyway.
+/// that passed every stateful rule, since a failed item is dropped anyway,
+/// and once before its item pass over every mempool signature, to prime
+/// the verified-check cache.
 class BatchProofVerifier {
  public:
   explicit BatchProofVerifier(ValidationContext& ctx) : ctx_(ctx) {}
@@ -148,10 +168,14 @@ class BatchProofVerifier {
                      const Digest& msg, const crypto::Signature& sig,
                      std::string error);
 
-  /// Verifies every collected check (cache-filtered, through the
+  /// Verifies every distinct collected check (cache-filtered, through the
   /// CheckQueue) and returns "" or the diagnostic of the check that would
-  /// have failed first sequentially. Checks are cached only when the
-  /// whole batch passes.
+  /// have failed first sequentially. Copies of a check share its verdict,
+  /// and the first copy has the lowest index, so it is the one reported.
+  /// The signatures go first, one crypto::verify_batch per verifying
+  /// thread over a contiguous run of them; those of a group that fails
+  /// are checked again one by one, with the SNARK proofs. Checks are
+  /// cached only when the whole batch passes.
   [[nodiscard]] std::string run();
 
  private:

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crypto/rng.hpp"
 
 namespace zendoo::crypto {
@@ -55,6 +57,34 @@ TEST(Fp, FastReductionMatchesGenericMulmod) {
       EXPECT_EQ(Fp{a}.mul(Fp{b}).v, u256::mulmod(a, b, p))
           << a.to_hex() << " * " << b.to_hex();
     }
+  }
+}
+
+TEST(Fp, FromReducesModP) {
+  const u256& p = secp256k1::kP;
+  Rng rng(41);
+  std::vector<u256> values{u256{}, u256{1}, p - u256{1}, p, p + u256{1},
+                           u256{} - u256{1}};
+  for (int i = 0; i < 100; ++i) values.push_back(rng.next_u256());
+  for (const u256& x : values) {
+    EXPECT_EQ(Fp::from(x).v, x.mod(p)) << x.to_hex();
+  }
+}
+
+TEST(Fp, InvMatchesFermatPowmod) {
+  // The addition chain computes v^(p-2), the value of square-and-multiply.
+  const u256& p = secp256k1::kP;
+  const u256 kc{0x1000003D1ULL};
+  std::vector<u256> values{u256{1}, u256{2}, p - u256{1}, p - u256{2}, kc,
+                           u256{1} << 255};
+  Rng rng(43);
+  while (values.size() < 1'006) {
+    u256 v = Fp::from(rng.next_u256()).v;
+    if (!v.is_zero()) values.push_back(v);
+  }
+  const u256 exponent = p - u256{2};
+  for (const u256& v : values) {
+    EXPECT_EQ(Fp{v}.inv().v, u256::powmod(v, exponent, p)) << v.to_hex();
   }
 }
 
@@ -320,6 +350,167 @@ TEST(SchnorrDifferential, VerifyMatchesReferenceOnDegenerateKeys) {
     }
   }
   EXPECT_EQ(accepted, cases);
+}
+
+TEST(Scalar, MulModNMatchesGenericMulmod) {
+  const u256& n = secp256k1::kN;
+  Rng rng(61);
+  for (int i = 0; i < 10'000; ++i) {
+    const u256 a = rng.next_u256();
+    const u256 b = rng.next_u256();
+    ASSERT_EQ(mul_mod_n(a, b), u256::mulmod(a, b, n))
+        << a.to_hex() << " * " << b.to_hex();
+  }
+  // Edge values: operands at and past n, and the product whose high half
+  // is largest, which takes the most folds.
+  const u256 edges[] = {u256{}, u256{1}, n - u256{1}, n, u256{} - u256{1}};
+  for (const u256& a : edges) {
+    for (const u256& b : edges) {
+      EXPECT_EQ(mul_mod_n(a, b), u256::mulmod(a, b, n))
+          << a.to_hex() << " * " << b.to_hex();
+    }
+  }
+}
+
+// ---- Batch verification ----
+
+constexpr std::size_t kBatchSizes[] = {1, 2, 3, 8, 16, 31, 64};
+
+/// `count` seeded checks, each signed by its own key.
+std::vector<SignatureCheck> seeded_batch(std::size_t count,
+                                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<SignatureCheck> batch;
+  for (std::size_t i = 0; i < count; ++i) {
+    KeyPair kp = KeyPair::from_seed(rng.next_digest());
+    Digest msg = rng.next_digest();
+    batch.push_back({kp.public_key(), msg, kp.sign(msg)});
+  }
+  return batch;
+}
+
+/// The ways tamper() spoils a check, by `kind`: s, s = 0, s >= n, R, P,
+/// the message, R off the curve, P off the curve.
+constexpr int kTamperKinds = 8;
+
+void tamper(SignatureCheck& c, int kind, Rng& rng) {
+  const u256& n = secp256k1::kN;
+  const u256& p = secp256k1::kP;
+  switch (kind) {
+    case 0:
+      c.sig.s = u256::addmod(c.sig.s, u256{1}, n);
+      break;
+    case 1:
+      c.sig.s = u256{};
+      break;
+    case 2:
+      c.sig.s = n;
+      break;
+    case 3:  // -R, still on the curve
+      c.sig.ry = p - c.sig.ry;
+      break;
+    case 4:  // another key
+      c.pubkey = KeyPair::from_seed(rng.next_digest()).public_key();
+      break;
+    case 5:
+      c.msg = rng.next_digest();
+      break;
+    case 6:
+      c.sig.ry = c.sig.ry + u256{1};
+      break;
+    case 7:
+      c.pubkey.second = c.pubkey.second + u256{1};
+      break;
+  }
+}
+
+/// The index the one-by-one fallback names: the first check that fails
+/// verify_signature, or the batch size.
+std::size_t first_failure(const std::vector<SignatureCheck>& batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const SignatureCheck& c = batch[i];
+    if (!verify_signature(c.pubkey, c.msg, c.sig)) return i;
+  }
+  return batch.size();
+}
+
+TEST(SchnorrBatch, ValidBatchesPass) {
+  EXPECT_TRUE(verify_batch({}));
+  for (std::size_t size : kBatchSizes) {
+    SCOPED_TRACE("size " + std::to_string(size));
+    const auto batch = seeded_batch(size, 100 + size);
+    EXPECT_TRUE(verify_batch(batch));
+    // A repeated check is just another term.
+    auto doubled = batch;
+    doubled.insert(doubled.end(), batch.begin(), batch.end());
+    EXPECT_TRUE(verify_batch(doubled));
+  }
+}
+
+TEST(SchnorrBatch, OneTamperedCheckFailsTheBatchAtEveryIndex) {
+  Rng rng(67);
+  for (std::size_t size : kBatchSizes) {
+    const auto batch = seeded_batch(size, 200 + size);
+    for (std::size_t i = 0; i < size; ++i) {
+      // Every kind at every index up to 31 checks; at 64, each index gets
+      // one kind in turn, so each kind still meets eight indices.
+      for (int kind = 0; kind < kTamperKinds; ++kind) {
+        if (size == 64 && kind != static_cast<int>(i % kTamperKinds)) {
+          continue;
+        }
+        SCOPED_TRACE("size " + std::to_string(size) + ", index " +
+                     std::to_string(i) + ", kind " + std::to_string(kind));
+        auto bad = batch;
+        tamper(bad[i], kind, rng);
+        EXPECT_FALSE(verify_batch(bad));
+        EXPECT_EQ(first_failure(bad), i);
+      }
+    }
+  }
+}
+
+TEST(SchnorrBatch, DegenerateKeysAndNoncesMatchOneByOne) {
+  // P = +-G and small multiples, nonces R = +-P and +-G: the shared chain
+  // and the odd-multiple tables meet equal and opposite points.
+  const u256& n = secp256k1::kN;
+  Rng rng(71);
+  std::vector<SignatureCheck> batch;
+  for (const u256& sk : {u256{1}, u256{2}, u256{3}, n - u256{1}, n - u256{2}}) {
+    auto pk = ECPoint::generator().mul(sk).to_affine();
+    for (const u256& k : {sk, n - sk, u256{1}, n - u256{1}}) {
+      Digest msg = rng.next_digest();
+      batch.push_back({pk, msg, reference_sign(sk, k, msg)});
+    }
+  }
+  EXPECT_TRUE(verify_batch(batch));
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    auto bad = batch;
+    bad[i].sig.s = u256::addmod(bad[i].sig.s, u256{1}, n);
+    EXPECT_FALSE(verify_batch(bad)) << "index " << i;
+  }
+}
+
+TEST(SchnorrBatch, WeightsAreAPureFunctionOfTheBatch) {
+  const u256 two128 = u256{1} << 128;
+  EXPECT_TRUE(batch_weights({}).empty());
+  for (std::size_t size : kBatchSizes) {
+    SCOPED_TRACE("size " + std::to_string(size));
+    const auto batch = seeded_batch(size, 300 + size);
+    const std::vector<u256> weights = batch_weights(batch);
+    ASSERT_EQ(weights.size(), size);
+    EXPECT_EQ(batch_weights(seeded_batch(size, 300 + size)), weights);
+    EXPECT_EQ(weights[0], u256{1});
+    for (std::size_t i = 1; i < size; ++i) {
+      EXPECT_FALSE(weights[i].is_zero());
+      EXPECT_LT(weights[i], two128);
+    }
+    if (size > 1) {
+      // Any change to the batch draws new weights.
+      auto changed = batch;
+      changed.back().sig.s = changed.back().sig.s + u256{1};
+      EXPECT_NE(batch_weights(changed)[1], weights[1]);
+    }
+  }
 }
 
 }  // namespace

@@ -507,9 +507,9 @@ TEST_F(NodeTest, MemoizedPaymentIsStillCheckedByTheCircuit) {
 
 TEST_F(NodeTest, EpochVerifiesEachPaymentSignatureOnce) {
   // k two-input payments, forged and then proven into the certificate:
-  // each signature is verified once, when its first input is forged. Its
-  // second input and both inputs' re-run in the transition circuit hit the
-  // memo (4k verifications without it).
+  // each signature is verified once, in the batch forge_block primes the
+  // memo with. Both inputs at forging and both inputs' re-run in the
+  // transition circuit hit the memo (4k verifications without it).
   constexpr std::uint64_t k = 3;
   fund_alice(1'000, 2 * k);
   while (node_.pending_certificates() > 0) {
@@ -534,7 +534,7 @@ TEST_F(NodeTest, EpochVerifiesEachPaymentSignatureOnce) {
   const crypto::SignatureMemoStats end =
       node_.proofs().signature_memo().stats();
   EXPECT_EQ(end.executed - start.executed, k);
-  EXPECT_EQ(end.hits - start.hits, 3 * k);
+  EXPECT_EQ(end.hits - start.hits, 4 * k);
 }
 
 TEST_F(NodeTest, MultiForgerLeadershipRotates) {

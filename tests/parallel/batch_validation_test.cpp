@@ -4,7 +4,9 @@
 // on — must produce byte-identical outcomes (accept/reject, error string,
 // state fingerprint), a rejection must leave the same cache state at
 // every worker count, and the shared verified-check cache must make a
-// dry_run→connect of one block pay for each check exactly once.
+// dry_run→connect of one block pay for each check exactly once. A batch
+// runs each distinct check once, and reports the first failure of a
+// sequential run whether it sits in a signature group or a SNARK proof.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -287,6 +289,142 @@ TEST(BatchValidationTest, StatefulErrorAloneSameEverywhere) {
       bad.transactions[1].inputs[0].prevout;
   expect_same_rejection(reseal(std::move(bad)),
                         "input spends unknown or spent output");
+}
+
+/// A block on the prefix state whose one transaction spends fanout outputs
+/// 0 and 1, with one signature copied into both inputs (sign_all_inputs).
+Block two_input_block() {
+  const auto& chain = ProofHeavyChain::instance();
+  const ChainState state = chain.prefix_state(kSequential);
+  const auto key = crypto::KeyPair::from_seed(
+      crypto::hash_str(crypto::Domain::kGeneric, "pv-test-key"));
+  const Digest fanout_id = chain.blocks[2].transactions[1].id();
+  Transaction tx;
+  Amount total = 0;
+  for (std::uint32_t j = 0; j < 2; ++j) {
+    const OutPoint op{fanout_id, j};
+    total += state.find_utxo(op)->amount;
+    tx.inputs.push_back(TxInput{op, {}, {}});
+  }
+  tx.outputs.push_back(TxOutput{key.address(), total});
+  Block b;
+  b.header.prev_hash = state.tip_hash();
+  b.header.height = state.height() + 1;
+  Transaction cb;
+  cb.is_coinbase = true;
+  cb.coinbase_height = b.header.height;
+  cb.outputs.push_back(TxOutput{key.address(), ChainParams{}.block_subsidy});
+  b.transactions.push_back(std::move(cb));
+  b.transactions.push_back(sign_all_inputs(std::move(tx), key));
+  return reseal(std::move(b));
+}
+
+TEST(BatchValidationTest, CopiedSignatureIsVerifiedOnce) {
+  const auto& chain = ProofHeavyChain::instance();
+  const Block block = two_input_block();
+  const auto& inputs = block.transactions[1].inputs;
+  ASSERT_EQ(inputs[0].sig, inputs[1].sig);
+  for (unsigned workers : kWorkerCounts) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ChainState state = chain.prefix_state({workers, 1 << 12});
+    const ValidationStats before = state.validation_context()->stats();
+    ASSERT_EQ(state.connect_block(block), "");
+    const ValidationStats after = state.validation_context()->stats();
+    EXPECT_EQ(after.checks_executed - before.checks_executed, 1u);
+  }
+}
+
+TEST(BatchValidationTest, TamperedCopiedSignatureSameErrorEverywhere) {
+  Block bad = two_input_block();
+  for (TxInput& in : bad.transactions[1].inputs) in.sig.s.limb[0] ^= 1;
+  expect_same_rejection(reseal(std::move(bad)), "invalid input signature");
+}
+
+/// Seeded signature checks and a SNARK proof for BatchProofVerifier tests.
+struct CheckFixture {
+  std::vector<crypto::SignatureCheck> sigs;
+  snark::VerifyingKey vk;
+  snark::Statement statement;
+  snark::Proof proof;
+
+  CheckFixture() {
+    for (std::uint64_t i = 0; i < 24; ++i) {
+      auto key = crypto::KeyPair::from_seed(
+          crypto::Hasher(crypto::Domain::kGeneric).write_u64(i).finalize());
+      Digest msg = crypto::Hasher(crypto::Domain::kGeneric)
+                       .write_u64(i)
+                       .write_u64(1)
+                       .finalize();
+      sigs.push_back({key.public_key(), msg, key.sign(msg)});
+    }
+    auto setup = snark::PredicateSnark::setup(
+        [](const snark::Statement&, const snark::Witness&) { return true; },
+        "bpv-test");
+    vk = setup.second;
+    statement = {crypto::hash_str(crypto::Domain::kGeneric, "bpv-statement")};
+    proof = *snark::PredicateSnark::prove(setup.first, statement,
+                                          snark::Witness{});
+  }
+};
+
+TEST(BatchProofVerifierTest, CopiesRunOnceAndTheFirstCopyIsReported) {
+  const CheckFixture f;
+  crypto::Signature bad = f.sigs[0].sig;
+  bad.s.limb[0] ^= 1;
+  for (unsigned workers : kWorkerCounts) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    parallel::ValidationContext ctx({workers, 1 << 12});
+    parallel::BatchProofVerifier batch(ctx);
+    batch.add_signature(f.sigs[0].pubkey, f.sigs[0].msg, bad, "index 0");
+    batch.add_signature(f.sigs[1].pubkey, f.sigs[1].msg, f.sigs[1].sig,
+                        "index 1");
+    batch.add_signature(f.sigs[2].pubkey, f.sigs[2].msg, f.sigs[2].sig,
+                        "index 2");
+    batch.add_signature(f.sigs[0].pubkey, f.sigs[0].msg, bad, "index 3");
+    EXPECT_EQ(batch.run(), "index 0");
+    EXPECT_EQ(ctx.stats().checks_executed, 3u);
+  }
+}
+
+TEST(BatchProofVerifierTest, LowestFailureWinsAcrossGroupsAndProofs) {
+  // 24 signatures, verified in one group per verifying thread, with a
+  // SNARK proof after the tenth. A failing group's signatures are checked
+  // again one by one beside the proof, so whichever failure comes first in
+  // add order is reported, at every worker count.
+  const CheckFixture f;
+  const snark::Statement other{
+      crypto::hash_str(crypto::Domain::kGeneric, "bpv-other")};
+  struct Case {
+    std::size_t bad_sig;  // index into f.sigs, or 24 for none
+    bool bad_proof;
+    std::string expected;
+  };
+  const Case cases[] = {{24, false, ""},
+                        {24, true, "proof"},
+                        {4, true, "signature 4"},
+                        {17, true, "proof"},
+                        {17, false, "signature 17"},
+                        {23, false, "signature 23"}};
+  for (const Case& c : cases) {
+    for (unsigned workers : kWorkerCounts) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + ", expect '" +
+                   c.expected + "'");
+      parallel::ValidationContext ctx({workers, 1 << 12});
+      parallel::BatchProofVerifier batch(ctx);
+      for (std::size_t i = 0; i < f.sigs.size(); ++i) {
+        if (i == 10) {
+          batch.add_snark(f.vk, c.bad_proof ? other : f.statement, f.proof,
+                          "proof");
+        }
+        crypto::Signature sig = f.sigs[i].sig;
+        if (i == c.bad_sig) sig.s.limb[0] ^= 1;
+        batch.add_signature(f.sigs[i].pubkey, f.sigs[i].msg, sig,
+                            "signature " + std::to_string(i));
+      }
+      EXPECT_EQ(batch.run(), c.expected);
+      EXPECT_EQ(ctx.stats().checks_executed, 25u);
+    }
+  }
 }
 
 TEST(BatchValidationTest, DryRunSharesVerifierCacheWithConnect) {
