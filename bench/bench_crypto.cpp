@@ -1,12 +1,13 @@
-// Crypto kernel costs: the secp256k1 field multiplication and the Schnorr
+// Crypto kernel costs: the secp256k1 field arithmetic and the Schnorr
 // operations that every movement of value pays for — MC transaction
 // inputs, Latus payments and backward transfers (§5.3), the BTR/CSW
 // ownership checks (§5.5.3.2/.3) and their re-execution inside the Base
 // SNARK prover (Def 2.4) — and the SHA-256 under every authenticated
 // structure.
 //
-// Series: one Fp::mul (a dependent chain, so it measures latency as the
-// point formulas see it), one signature, one verification, one
+// Series: one Fp::mul, one Fp::sqr and one Fp::add (each a dependent
+// chain, so it measures latency as the point formulas see it), one
+// signature, one verification, one
 // crypto::verify_batch over k signatures (BM_SchnorrVerifyBatch/k, with
 // its cost per signature as the counter `seconds_per_signature`), one
 // verification answered by a warm SignatureMemo (what a Latus node pays to
@@ -51,13 +52,18 @@ std::vector<KeyPair> keys() {
   return out;
 }
 
-void BM_FpMul(benchmark::State& state) {
+std::vector<crypto::Fp> field_elements() {
   crypto::Rng rng(4);
   std::vector<crypto::Fp> xs;
   xs.reserve(kPool);
   for (std::size_t i = 0; i < kPool; ++i) {
     xs.push_back(crypto::Fp::from(rng.next_u256()));
   }
+  return xs;
+}
+
+void BM_FpMul(benchmark::State& state) {
+  const std::vector<crypto::Fp> xs = field_elements();
   crypto::Fp acc = xs[0];
   std::size_t i = 0;
   for (auto _ : state) {
@@ -66,6 +72,26 @@ void BM_FpMul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FpMul);
+
+void BM_FpSqr(benchmark::State& state) {
+  crypto::Fp acc = field_elements()[0];
+  for (auto _ : state) {
+    acc = acc.sqr();
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FpSqr);
+
+void BM_FpAdd(benchmark::State& state) {
+  const std::vector<crypto::Fp> xs = field_elements();
+  crypto::Fp acc = xs[0];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    acc = acc.add(xs[i++ % kPool]);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FpAdd);
 
 void BM_SchnorrSign(benchmark::State& state) {
   const std::vector<KeyPair> ks = keys();

@@ -19,49 +19,9 @@ const u256 kGy = u256::from_hex(
 }  // namespace secp256k1
 
 namespace {
-// p = 2^256 - kC, kC = 2^32 + 977.
-constexpr std::uint64_t kC = 0x1000003D1ULL;
 // n = 2^256 - kNC, kNC < 2^129.
 constexpr u256 kNC{0x402DA1732FC9BEBFULL, 0x4551231950B75FC4ULL, 1, 0};
 }  // namespace
-
-Fp Fp::add(const Fp& o) const {
-  return Fp{u256::addmod(v, o.v, secp256k1::kP)};
-}
-
-Fp Fp::sub(const Fp& o) const {
-  return Fp{u256::submod(v, o.v, secp256k1::kP)};
-}
-
-Fp Fp::neg() const {
-  if (v.is_zero()) return *this;
-  return Fp{secp256k1::kP - v};
-}
-
-Fp Fp::mul(const Fp& o) const {
-  using u128 = unsigned __int128;
-  // x = hi*2^256 + lo ≡ lo + hi*kC (mod p): four single-limb products fold
-  // hi in, leaving a carry limb c <= kC. c*kC < 2^65 folds in the same
-  // way; if that wraps past 2^256, the wrap is worth kC once more and the
-  // remainder is then far below p.
-  auto [hi, lo] = u256::mul_wide(v, o.v);
-  u256 r;
-  u128 acc = 0;
-  for (int i = 0; i < 4; ++i) {
-    acc += static_cast<u128>(hi.limb[i]) * kC + lo.limb[i];
-    r.limb[i] = static_cast<std::uint64_t>(acc);
-    acc >>= 64;
-  }
-  acc *= kC;
-  for (int i = 0; i < 4; ++i) {
-    acc += r.limb[i];
-    r.limb[i] = static_cast<std::uint64_t>(acc);
-    acc >>= 64;
-  }
-  if (acc != 0) r = r + u256{kC};
-  if (!(r < secp256k1::kP)) r = r - secp256k1::kP;
-  return Fp{r};
-}
 
 Fp Fp::inv() const {
   if (is_zero()) throw std::invalid_argument("Fp::inv of zero");

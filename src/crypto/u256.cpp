@@ -185,24 +185,41 @@ std::string u256::to_hex() const {
   return s;
 }
 
+namespace {
+// The eight bytes of a big-endian word, spelled out so that the compiler
+// turns each function into one 64-bit access and a byte swap.
+inline std::uint64_t load_be64(const std::uint8_t* in) {
+  return std::uint64_t{in[0]} << 56 | std::uint64_t{in[1]} << 48 |
+         std::uint64_t{in[2]} << 40 | std::uint64_t{in[3]} << 32 |
+         std::uint64_t{in[4]} << 24 | std::uint64_t{in[5]} << 16 |
+         std::uint64_t{in[6]} << 8 | std::uint64_t{in[7]};
+}
+
+inline void store_be64(std::uint8_t* out, std::uint64_t word) {
+  out[0] = static_cast<std::uint8_t>(word >> 56);
+  out[1] = static_cast<std::uint8_t>(word >> 48);
+  out[2] = static_cast<std::uint8_t>(word >> 40);
+  out[3] = static_cast<std::uint8_t>(word >> 32);
+  out[4] = static_cast<std::uint8_t>(word >> 24);
+  out[5] = static_cast<std::uint8_t>(word >> 16);
+  out[6] = static_cast<std::uint8_t>(word >> 8);
+  out[7] = static_cast<std::uint8_t>(word);
+}
+}  // namespace
+
 std::array<std::uint8_t, 32> u256::to_bytes_be() const {
+  // The most significant limb first.
   std::array<std::uint8_t, 32> out{};
-  for (int i = 0; i < 32; ++i) {
-    unsigned bit_index = static_cast<unsigned>(31 - i) * 8;
-    out[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(limb[bit_index / 64] >> (bit_index % 64));
-  }
+  store_be64(&out[0], limb[3]);
+  store_be64(&out[8], limb[2]);
+  store_be64(&out[16], limb[1]);
+  store_be64(&out[24], limb[0]);
   return out;
 }
 
 u256 u256::from_bytes_be(const std::uint8_t* data) {
-  u256 r;
-  for (int i = 0; i < 32; ++i) {
-    unsigned bit_index = static_cast<unsigned>(31 - i) * 8;
-    r.limb[bit_index / 64] |= static_cast<std::uint64_t>(data[i])
-                              << (bit_index % 64);
-  }
-  return r;
+  return {load_be64(data + 24), load_be64(data + 16), load_be64(data + 8),
+          load_be64(data)};
 }
 
 }  // namespace zendoo::crypto

@@ -40,7 +40,8 @@ Block Miner::build_block(const Mempool& pool) const {
   // Every mempool signature in one batch first: the per-item batches and
   // the final dry_run then find them in the verified-check cache. A batch
   // holding a bad signature caches nothing, and each item verifies its own.
-  {
+  // Without a cache the batch would only verify every signature once more.
+  if (chain_.params().validation.cache_capacity != 0) {
     parallel::BatchProofVerifier signatures(vctx);
     for (const Transaction& tx : pool.transactions) {
       const Digest signing = tx.signing_digest();

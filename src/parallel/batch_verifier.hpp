@@ -85,8 +85,8 @@ struct ValidationStats {
   std::uint64_t checks_executed = 0;
   std::uint64_t cache_hits = 0;  ///< checks satisfied from the cache
   /// Batch runs: one per apply_block, and in Miner::build_block one over
-  /// the mempool signatures plus one per item it verifies; a batch with no
-  /// checks is not counted.
+  /// the mempool signatures (with the cache on) plus one per item it
+  /// verifies; a batch with no checks is not counted.
   std::uint64_t batches = 0;
 };
 

@@ -88,6 +88,58 @@ TEST(Fp, InvMatchesFermatPowmod) {
   }
 }
 
+// ---- The field kernel against the generic u256 arithmetic ----
+
+/// Operands at the edges of the kernel's carries: among their pairs are
+/// sums equal to p, one past it and equal to 2^256 - 1, and differences
+/// that borrow.
+std::vector<u256> field_edges() {
+  const u256& p = secp256k1::kP;
+  const u256 one{1};
+  const u256 kc{0x1000003D1ULL};
+  return {u256{},           one,
+          u256{2},          kc - one,
+          kc,               u256{~0ULL},
+          (one << 128) - one, (one << 255) - one,
+          one << 255,       p - (one << 64),
+          p - kc,           p - u256{2},
+          p - one};
+}
+
+/// add, sub, mul, sqr and neg on (a, b) against addmod, submod and mulmod.
+void expect_kernel_matches_generic(const u256& a, const u256& b) {
+  const u256& p = secp256k1::kP;
+  const Fp fa{a}, fb{b};
+  SCOPED_TRACE(a.to_hex() + ", " + b.to_hex());
+  ASSERT_EQ(fa.add(fb).v, u256::addmod(a, b, p));
+  ASSERT_EQ(fa.sub(fb).v, u256::submod(a, b, p));
+  ASSERT_EQ(fa.mul(fb).v, u256::mulmod(a, b, p));
+  ASSERT_EQ(fa.sqr().v, u256::mulmod(a, a, p));
+  ASSERT_EQ(fa.sqr(), fa.mul(fa));
+  ASSERT_TRUE(fa.add(fa.neg()).is_zero());
+  ASSERT_EQ(fa.neg().v, u256::submod(u256{}, a, p));
+}
+
+TEST(Fp, KernelMatchesGenericArithmeticOnSeededPairs) {
+  Rng rng(67);
+  for (int i = 0; i < 10'000; ++i) {
+    const u256 a = Fp::from(rng.next_u256()).v;
+    const u256 b = Fp::from(rng.next_u256()).v;
+    expect_kernel_matches_generic(a, b);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(Fp, KernelMatchesGenericArithmeticOnEdgePairs) {
+  const std::vector<u256> edges = field_edges();
+  for (const u256& a : edges) {
+    for (const u256& b : edges) {
+      expect_kernel_matches_generic(a, b);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
 TEST(ECPoint, GeneratorOnCurve) {
   EXPECT_TRUE(ECPoint::generator().on_curve());
 }

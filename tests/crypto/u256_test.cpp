@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "crypto/rng.hpp"
 
 namespace zendoo::crypto {
@@ -157,6 +159,21 @@ TEST(U256, BytesRoundTrip) {
     auto b = v.to_bytes_be();
     EXPECT_EQ(u256::from_bytes_be(b.data()), v);
   }
+}
+
+TEST(U256, BytesAreBigEndian) {
+  // A round trip alone passes when both directions mirror the same limb or
+  // byte order; a fixed vector pins the order itself.
+  std::array<std::uint8_t, 32> bytes{};
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i + 1);
+  }
+  const u256 v = u256::from_hex(
+      "0102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20");
+  EXPECT_EQ(v, (u256{0x191a1b1c1d1e1f20ULL, 0x1112131415161718ULL,
+                     0x090a0b0c0d0e0f10ULL, 0x0102030405060708ULL}));
+  EXPECT_EQ(v.to_bytes_be(), bytes);
+  EXPECT_EQ(u256::from_bytes_be(bytes.data()), v);
 }
 
 TEST(U256, ModWideAgainstSquareIdentity) {

@@ -580,7 +580,36 @@ TEST(BlockAssembly, MatchesGreedyOracleUnderEveryConfig) {
 
 // ---- Cost pin ----
 
-class BuildBlockCost : public ::testing::TestWithParam<std::size_t> {};
+class BuildBlockCost : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  /// What one build over k single-input payments cost under `config`.
+  static void build_cost(std::size_t k, ValidationConfig config,
+                         parallel::ValidationStats& cost) {
+    const KeyPair key = key_of("asm-cost");
+    ChainParams params;
+    params.validation = config;
+    Blockchain chain{params};
+    Miner miner(chain, key.address());
+    miner.mine_empty(k);
+    Mempool pool;
+    for (const auto& [op, out] : chain.state().utxos_of(key.address())) {
+      Transaction tx;
+      tx.inputs.push_back(TxInput{op, {}, {}});
+      tx.outputs.push_back(TxOutput{key.address(), out.amount});
+      pool.transactions.push_back(sign_all_inputs(std::move(tx), key));
+    }
+    ASSERT_EQ(pool.transactions.size(), k);
+
+    const auto& ctx = *chain.state().validation_context();
+    const parallel::ValidationStats before = ctx.stats();
+    Block block = miner.build_block(pool);
+    const parallel::ValidationStats after = ctx.stats();
+    EXPECT_EQ(block.transactions.size(), k + 1);
+    cost = {after.checks_executed - before.checks_executed,
+            after.cache_hits - before.cache_hits,
+            after.batches - before.batches};
+  }
+};
 
 /// One build over k single-input payments: one batch verifies all k
 /// signatures first, then each item's batch and the final dry_run find
@@ -589,27 +618,23 @@ class BuildBlockCost : public ::testing::TestWithParam<std::size_t> {};
 /// batches with k(k-1)/2 cache hits.
 TEST_P(BuildBlockCost, EachCheckRunsOnceAndTheFinalDryRunHitsTheCache) {
   const std::size_t k = GetParam();
-  const KeyPair key = key_of("asm-cost");
-  Blockchain chain{ChainParams{}};
-  Miner miner(chain, key.address());
-  miner.mine_empty(k);
-  Mempool pool;
-  for (const auto& [op, out] : chain.state().utxos_of(key.address())) {
-    Transaction tx;
-    tx.inputs.push_back(TxInput{op, {}, {}});
-    tx.outputs.push_back(TxOutput{key.address(), out.amount});
-    pool.transactions.push_back(sign_all_inputs(std::move(tx), key));
-  }
-  ASSERT_EQ(pool.transactions.size(), k);
+  parallel::ValidationStats cost;
+  ASSERT_NO_FATAL_FAILURE(build_cost(k, ValidationConfig{}, cost));
+  EXPECT_EQ(cost.checks_executed, k);
+  EXPECT_EQ(cost.cache_hits, 2 * k);
+  EXPECT_EQ(cost.batches, k + 2);
+}
 
-  const auto& ctx = *chain.state().validation_context();
-  const parallel::ValidationStats before = ctx.stats();
-  Block block = miner.build_block(pool);
-  const parallel::ValidationStats after = ctx.stats();
-  EXPECT_EQ(block.transactions.size(), k + 1);
-  EXPECT_EQ(after.checks_executed - before.checks_executed, k);
-  EXPECT_EQ(after.cache_hits - before.cache_hits, 2 * k);
-  EXPECT_EQ(after.batches - before.batches, k + 2);
+/// With the cache off there is nothing to prime: each item's batch and the
+/// final dry_run verify every signature once, and no first batch verifies
+/// them a third time.
+TEST_P(BuildBlockCost, WithoutACacheEachCheckRunsInItsItemAndTheDryRun) {
+  const std::size_t k = GetParam();
+  parallel::ValidationStats cost;
+  ASSERT_NO_FATAL_FAILURE(build_cost(k, {0, 0}, cost));
+  EXPECT_EQ(cost.checks_executed, 2 * k);
+  EXPECT_EQ(cost.cache_hits, 0u);
+  EXPECT_EQ(cost.batches, k + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Payments, BuildBlockCost,
