@@ -3,11 +3,16 @@
 //
 // Series: insert/erase/prove at various depths (all O(depth), independent
 // of capacity thanks to sparsity), copy-then-mutate (a copy shares every
-// node, so it costs the mutation alone), delta merge/hash, and the
+// node, so it costs the mutation alone), the Latus state copy (its UTXOs
+// live in the MST leaves, so a copy costs the same at any UTXO count) and
+// the forger's copy-then-pay step, delta merge/hash, and the
 // delta-unspentness check across k epochs.
 #include "bench_json.hpp"
 
 #include "crypto/rng.hpp"
+#include "crypto/signature_memo.hpp"
+#include "latus/state.hpp"
+#include "latus/transactions.hpp"
 #include "merkle/mst.hpp"
 
 namespace {
@@ -95,6 +100,60 @@ void BM_MstCopyThenInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MstCopyThenInsert);
+
+/// A depth-16 Latus state holding `count` UTXOs of random owners.
+latus::LatusState state_with_utxos(std::uint64_t count, crypto::Rng& rng) {
+  latus::LatusState s(16);
+  for (std::uint64_t held = 0; held < count;) {
+    if (s.insert_utxo({rng.next_digest(), 1 + rng.next_below(1000),
+                       rng.next_digest()})) {
+      ++held;
+    }
+  }
+  return s;
+}
+
+void BM_LatusStateCopy(benchmark::State& state) {
+  // Copy and destroy a state, as every forged payment, transition witness,
+  // checkpoint and archived certificate state does.
+  crypto::Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  const latus::LatusState base =
+      state_with_utxos(static_cast<std::uint64_t>(state.range(0)), rng);
+  for (auto _ : state) {
+    latus::LatusState copy = base;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_LatusStateCopy)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_LatusStateCopyThenPay(benchmark::State& state) {
+  // The forger's per-payment step: copy the state, then apply one
+  // 2-in/2-out payment to the copy, its signature already in the memo.
+  crypto::Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  latus::LatusState base =
+      state_with_utxos(static_cast<std::uint64_t>(state.range(0)) - 2, rng);
+  const auto payer = crypto::KeyPair::from_seed(rng.next_digest());
+  std::vector<latus::Utxo> inputs;
+  while (inputs.size() < 2) {
+    latus::Utxo coin{payer.address(), 500, rng.next_digest()};
+    if (base.insert_utxo(coin)) inputs.push_back(coin);
+  }
+  const latus::PaymentTx tx = latus::build_payment(
+      inputs, payer,
+      {{rng.next_digest(), 600}, {payer.address(), 400}});
+  crypto::SignatureMemo memo;
+  latus::prime_spend_signatures({&tx, 1}, {}, memo);
+  for (auto _ : state) {
+    latus::LatusState copy = base;
+    std::string err = latus::apply_payment(copy, tx, memo);
+    if (!err.empty()) {
+      state.SkipWithError(err.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_LatusStateCopyThenPay)->Arg(256);
 
 void BM_MstDeltaMergeHash(benchmark::State& state) {
   unsigned depth = static_cast<unsigned>(state.range(0));

@@ -254,12 +254,10 @@ std::optional<Digest> LatusNode::observed_mc_hash(std::uint64_t h) const {
 }
 
 std::uint64_t LatusNode::Mutable::dynamic_usage() const {
-  // The state's MST nodes and the steps' witnesses are shared with the
-  // live node, so only the pointers to them count.
-  constexpr std::uint64_t kUtxoEntry =
-      sizeof(std::pair<const std::uint64_t, Utxo>) + 2 * sizeof(void*);
-  return state.mst().occupied_count() * kUtxoEntry +
-         state.backward_transfers().size() *
+  // The state's MST nodes, with the UTXOs in their leaves, and the steps'
+  // witnesses are shared with the live node, so only the pointers to them
+  // count.
+  return state.backward_transfers().size() *
              sizeof(mainchain::BackwardTransfer) +
          (state.delta().size() + 63) / 64 * sizeof(std::uint64_t) +
          pending_refs.size() * sizeof(McBlockReference) +

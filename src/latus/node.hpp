@@ -47,8 +47,8 @@ class LatusNode {
   ///    slot-leader cache. A checkpoint copies it. Its transition
   ///    witnesses and pending epoch snapshots are shared, immutable
   ///    objects, so the copy costs one pointer each; the state's MST
-  ///    nodes are shared too, so only its UTXO map and dense mst_delta
-  ///    are duplicated.
+  ///    nodes, which hold its UTXOs, are shared too, so only its BT list
+  ///    and dense mst_delta are duplicated.
   /// So a checkpoint costs the state plus a pointer per open transition
   /// step, however long the history (the "sc.checkpoint_bytes" gauge).
   static constexpr std::uint64_t kCheckpointInterval = 8;

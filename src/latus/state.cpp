@@ -1,8 +1,30 @@
 #include "latus/state.hpp"
 
 #include <algorithm>
+#include <map>
+#include <memory>
 
 namespace zendoo::latus {
+
+namespace {
+
+// insert_utxo is the only way into a state's tree, so every leaf carries
+// its Utxo as payload.
+
+/// The UTXO occupying `pos`, or null; valid while a tree holds its leaf.
+const Utxo* utxo_in(const merkle::MerkleStateTree& mst, std::uint64_t pos) {
+  return static_cast<const Utxo*>(mst.payload(pos));
+}
+
+/// Calls `visit` with each UTXO in `mst`, in slot order.
+template <class F>
+void for_each_utxo(const merkle::MerkleStateTree& mst, F&& visit) {
+  mst.for_each_leaf([&visit](std::uint64_t, const void* payload) {
+    visit(*static_cast<const Utxo*>(payload));
+  });
+}
+
+}  // namespace
 
 std::uint64_t mst_position(const Utxo& utxo, unsigned depth) {
   // Deterministic and independent of the current MST contents, as §5.2
@@ -36,35 +58,35 @@ Digest LatusState::bt_list_root() const {
 }
 
 std::optional<Utxo> LatusState::utxo_at(std::uint64_t pos) const {
-  auto it = utxo_data_.find(pos);
-  if (it == utxo_data_.end()) return std::nullopt;
-  return it->second;
+  const Utxo* utxo = utxo_in(mst_, pos);
+  if (utxo == nullptr) return std::nullopt;
+  return *utxo;
 }
 
 bool LatusState::contains(const Utxo& utxo) const {
-  auto existing = utxo_at(mst_position(utxo, depth()));
-  return existing.has_value() && *existing == utxo;
+  const Utxo* held = utxo_in(mst_, mst_position(utxo, depth()));
+  return held != nullptr && *held == utxo;
 }
 
 Amount LatusState::total_supply() const {
   Amount sum = 0;
-  for (const auto& [_, u] : utxo_data_) sum += u.amount;
+  for_each_utxo(mst_, [&sum](const Utxo& u) { sum += u.amount; });
   return sum;
 }
 
 Amount LatusState::balance_of(const Address& addr) const {
   Amount sum = 0;
-  for (const auto& [_, u] : utxo_data_) {
+  for_each_utxo(mst_, [&](const Utxo& u) {
     if (u.addr == addr) sum += u.amount;
-  }
+  });
   return sum;
 }
 
 std::vector<Utxo> LatusState::utxos_of(const Address& addr) const {
   std::vector<Utxo> out;
-  for (const auto& [_, u] : utxo_data_) {
+  for_each_utxo(mst_, [&](const Utxo& u) {
     if (u.addr == addr) out.push_back(u);
-  }
+  });
   std::sort(out.begin(), out.end(), [](const Utxo& a, const Utxo& b) {
     return a.nonce < b.nonce;
   });
@@ -72,30 +94,28 @@ std::vector<Utxo> LatusState::utxos_of(const Address& addr) const {
 }
 
 std::vector<std::pair<Address, Amount>> LatusState::stake_snapshot() const {
-  std::unordered_map<Digest, Amount, crypto::DigestHash> per_addr;
-  for (const auto& [_, u] : utxo_data_) per_addr[u.addr] += u.amount;
-  std::vector<std::pair<Address, Amount>> out(per_addr.begin(),
-                                              per_addr.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  std::map<Address, Amount> per_addr;
+  for_each_utxo(mst_,
+                [&per_addr](const Utxo& u) { per_addr[u.addr] += u.amount; });
+  return {per_addr.begin(), per_addr.end()};
 }
 
 bool LatusState::insert_utxo(const Utxo& utxo) {
   std::uint64_t pos = mst_position(utxo, depth());
-  if (!mst_.insert(pos, utxo.hash())) return false;
-  utxo_data_[pos] = utxo;
+  if (!mst_.insert(pos, utxo.hash(), std::make_shared<const Utxo>(utxo))) {
+    return false;
+  }
   delta_.set(pos);
   return true;
 }
 
 bool LatusState::remove_utxo(const Utxo& utxo) {
   std::uint64_t pos = mst_position(utxo, depth());
-  auto it = utxo_data_.find(pos);
-  if (it == utxo_data_.end() || !(it->second == utxo)) return false;
-  bool erased = mst_.erase(pos);
-  utxo_data_.erase(it);
+  const Utxo* held = utxo_in(mst_, pos);
+  if (held == nullptr || !(*held == utxo)) return false;
+  mst_.erase(pos);
   delta_.set(pos);
-  return erased;
+  return true;
 }
 
 void LatusState::push_backward_transfer(

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/ecc.hpp"
@@ -22,6 +21,8 @@ using mainchain::Address;
 using mainchain::Amount;
 
 /// An unspent output in the Latus ledger: (addr, amount, nonce) per §5.2.
+/// A LatusState keeps each one in its MST leaf, as the leaf's payload, so
+/// the slot's digest (hash()) and its UTXO are one record.
 struct Utxo {
   Address addr;
   Amount amount = 0;
@@ -54,6 +55,11 @@ struct Utxo {
 /// Mutating operations are all-or-nothing per transaction: on failure the
 /// state is unchanged and a diagnostic is returned. Every slot mutation is
 /// recorded in the current mst_delta (Appendix A).
+///
+/// The MST is the only store of the UTXO set: each occupied leaf carries its
+/// UTXO, a lookup walks the slot's path and the whole-set reads walk the
+/// occupied leaves. A copy therefore shares every UTXO with its source and
+/// duplicates only the epoch's BT list and the dense mst_delta.
 class LatusState {
  public:
   explicit LatusState(unsigned mst_depth);
@@ -104,7 +110,6 @@ class LatusState {
 
  private:
   merkle::MerkleStateTree mst_;
-  std::unordered_map<std::uint64_t, Utxo> utxo_data_;
   std::vector<mainchain::BackwardTransfer> backward_transfers_;
   merkle::MstDelta delta_;
 };

@@ -32,6 +32,11 @@ struct MerkleStateTree::Node {
   NodePtr left, right;
 };
 
+// Every level-0 node is a Leaf; inner nodes carry no payload field.
+struct MerkleStateTree::Leaf : Node {
+  std::shared_ptr<const void> payload;
+};
+
 namespace {
 
 constexpr unsigned kMaxDepth = 48;
@@ -68,13 +73,14 @@ MerkleStateTree::MerkleStateTree(unsigned depth) : depth_(depth) {
   root_ = empty_digest(depth_);
 }
 
-const MerkleStateTree::Node* MerkleStateTree::find_leaf(
+const MerkleStateTree::Leaf* MerkleStateTree::find_leaf(
     std::uint64_t pos) const {
+  if (pos >= capacity()) return nullptr;
   const Node* node = top_.get();
   for (unsigned level = depth_; level > 0 && node != nullptr; --level) {
     node = (goes_right(pos, level) ? node->right : node->left).get();
   }
-  return node;
+  return static_cast<const Leaf*>(node);
 }
 
 void MerkleStateTree::set_leaf(std::uint64_t pos, NodePtr leaf) {
@@ -106,17 +112,24 @@ void MerkleStateTree::set_leaf(std::uint64_t pos, NodePtr leaf) {
 }
 
 std::optional<Digest> MerkleStateTree::leaf(std::uint64_t pos) const {
-  const Node* node = find_leaf(pos);
+  const Leaf* node = find_leaf(pos);
   if (node == nullptr) return std::nullopt;
   return node->digest;
 }
 
-bool MerkleStateTree::insert(std::uint64_t pos, const Digest& value) {
+const void* MerkleStateTree::payload(std::uint64_t pos) const {
+  const Leaf* node = find_leaf(pos);
+  return node == nullptr ? nullptr : node->payload.get();
+}
+
+bool MerkleStateTree::insert(std::uint64_t pos, const Digest& value,
+                             std::shared_ptr<const void> payload) {
   if (pos >= capacity()) {
     throw std::out_of_range("MerkleStateTree::insert: position out of range");
   }
   if (find_leaf(pos) != nullptr) return false;
-  set_leaf(pos, std::make_shared<const Node>(Node{value, nullptr, nullptr}));
+  set_leaf(pos, std::make_shared<const Leaf>(
+                    Leaf{{value, nullptr, nullptr}, std::move(payload)}));
   ++occupied_;
   return true;
 }
@@ -162,22 +175,26 @@ bool MerkleStateTree::verify_empty(const Digest& root,
   return MerkleTree::root_from_proof(empty_leaf_digest(), proof) == root;
 }
 
-void MerkleStateTree::collect_positions(const Node* node, unsigned level,
-                                        std::uint64_t index,
-                                        std::vector<std::uint64_t>& out) {
+void MerkleStateTree::visit_leaves(const Node* node, unsigned level,
+                                   std::uint64_t index,
+                                   const LeafVisitor& visit) {
   if (node == nullptr) return;
   if (level == 0) {
-    out.push_back(index);
+    visit(index, static_cast<const Leaf*>(node)->payload.get());
     return;
   }
-  collect_positions(node->left.get(), level - 1, index * 2, out);
-  collect_positions(node->right.get(), level - 1, index * 2 + 1, out);
+  visit_leaves(node->left.get(), level - 1, index * 2, visit);
+  visit_leaves(node->right.get(), level - 1, index * 2 + 1, visit);
+}
+
+void MerkleStateTree::for_each_leaf(const LeafVisitor& visit) const {
+  visit_leaves(top_.get(), depth_, 0, visit);
 }
 
 std::vector<std::uint64_t> MerkleStateTree::occupied_positions() const {
   std::vector<std::uint64_t> out;
   out.reserve(occupied_);
-  collect_positions(top_.get(), depth_, 0, out);
+  for_each_leaf([&out](std::uint64_t pos, const void*) { out.push_back(pos); });
   return out;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -59,6 +60,10 @@ class MstDelta {
 /// mutations. Nodes are const once built, so copies may live on different
 /// threads. Membership (and emptiness) proofs are standard Merkle proofs
 /// against the current root.
+///
+/// A leaf may also carry an opaque, immutable payload beside its digest
+/// (the Latus state keeps each slot's UTXO there). The payload never enters
+/// a hash, and copies of a tree share it as they share the leaf.
 class MerkleStateTree {
  public:
   explicit MerkleStateTree(unsigned depth);
@@ -79,10 +84,17 @@ class MerkleStateTree {
   /// Digest stored at `pos`, if occupied.
   [[nodiscard]] std::optional<Digest> leaf(std::uint64_t pos) const;
 
-  /// Occupy slot `pos` with `value`. Fails (returns false) if occupied.
-  bool insert(std::uint64_t pos, const Digest& value);
+  /// Payload stored at `pos`: null if the slot is empty or was filled
+  /// without one. It lives as long as a tree holding this leaf.
+  [[nodiscard]] const void* payload(std::uint64_t pos) const;
 
-  /// Clear slot `pos`. Fails (returns false) if it was empty.
+  /// Occupy slot `pos` with `value` and `payload`. Fails (returns false)
+  /// if occupied.
+  bool insert(std::uint64_t pos, const Digest& value,
+              std::shared_ptr<const void> payload = nullptr);
+
+  /// Clear slot `pos`, dropping its payload. Fails (returns false) if it
+  /// was empty.
   bool erase(std::uint64_t pos);
 
   /// Merkle proof for slot `pos` against the current root; works for both
@@ -102,17 +114,23 @@ class MerkleStateTree {
   /// The set of occupied positions (ordered), e.g. for state enumeration.
   [[nodiscard]] std::vector<std::uint64_t> occupied_positions() const;
 
+  using LeafVisitor =
+      std::function<void(std::uint64_t pos, const void* payload)>;
+  /// Calls `visit` for every occupied slot, in position order.
+  void for_each_leaf(const LeafVisitor& visit) const;
+
  private:
   struct Node;
+  struct Leaf;
   using NodePtr = std::shared_ptr<const Node>;
 
-  /// The leaf node at `pos`, or nullptr when the slot is empty.
-  [[nodiscard]] const Node* find_leaf(std::uint64_t pos) const;
+  /// The leaf node at `pos`, or nullptr when the slot is empty or `pos`
+  /// is out of range.
+  [[nodiscard]] const Leaf* find_leaf(std::uint64_t pos) const;
   /// Replace the leaf at `pos` (null clears it), rebuilding its path.
   void set_leaf(std::uint64_t pos, NodePtr leaf);
-  static void collect_positions(const Node* node, unsigned level,
-                                std::uint64_t index,
-                                std::vector<std::uint64_t>& out);
+  static void visit_leaves(const Node* node, unsigned level,
+                           std::uint64_t index, const LeafVisitor& visit);
 
   unsigned depth_;
   std::uint64_t occupied_ = 0;

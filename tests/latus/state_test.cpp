@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -205,28 +208,128 @@ TEST(LatusStateTest, CopiesDoNotAlias) {
 
 class StateChurn : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(StateChurn, SupplyConservedUnderChurn) {
-  unsigned depth = GetParam();
-  LatusState s(depth);
-  Rng rng(depth);
-  std::vector<Utxo> live;
+using UtxoShadow = std::map<std::uint64_t, Utxo>;
+
+/// A state and the independent record of what it must hold: its UTXOs by
+/// slot and the slots touched this epoch.
+struct Churned {
+  LatusState state;
+  UtxoShadow shadow;
+  merkle::MstDelta delta;
+};
+
+/// Every read of `s.state` agrees with its shadow: the slot of the step's
+/// UTXO `touched`, the per-address reads over `owners`, the whole-set
+/// reads, and the commitment of a state rebuilt from the shadow alone.
+void expect_matches_shadow(const Churned& s, const Utxo& touched,
+                           const std::vector<Address>& owners) {
+  const unsigned depth = s.state.depth();
+  const std::uint64_t pos = mst_position(touched, depth);
+  auto it = s.shadow.find(pos);
+  EXPECT_EQ(s.state.utxo_at(pos), it == s.shadow.end()
+                                      ? std::nullopt
+                                      : std::optional<Utxo>(it->second));
+  EXPECT_EQ(s.state.contains(touched),
+            it != s.shadow.end() && it->second == touched);
   Amount supply = 0;
-  for (int step = 0; step < 150; ++step) {
-    if (live.empty() || rng.chance(3, 5)) {
-      Utxo u{rng.next_digest(), 1 + rng.next_below(1000),
-             rng.next_digest()};
-      if (s.insert_utxo(u)) {
-        live.push_back(u);
-        supply += u.amount;
-      }
-    } else {
-      std::size_t idx = rng.next_below(live.size());
-      ASSERT_TRUE(s.remove_utxo(live[idx]));
-      supply -= live[idx].amount;
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-    }
-    ASSERT_EQ(s.total_supply(), supply);
+  std::map<Address, Amount> stake;
+  for (const auto& [_, u] : s.shadow) {
+    supply += u.amount;
+    stake[u.addr] += u.amount;
   }
+  for (const Address& owner : owners) {
+    std::vector<Utxo> owned;
+    for (const auto& [_, u] : s.shadow) {
+      if (u.addr == owner) owned.push_back(u);
+    }
+    std::sort(owned.begin(), owned.end(),
+              [](const Utxo& a, const Utxo& b) { return a.nonce < b.nonce; });
+    EXPECT_EQ(s.state.utxos_of(owner), owned);
+    EXPECT_EQ(s.state.balance_of(owner), stake.contains(owner) ? stake[owner]
+                                                                : 0);
+  }
+  EXPECT_EQ(s.state.total_supply(), supply);
+  EXPECT_EQ(s.state.stake_snapshot(),
+            (std::vector<std::pair<Address, Amount>>(stake.begin(),
+                                                     stake.end())));
+  EXPECT_EQ(s.state.mst().occupied_count(), s.shadow.size());
+  EXPECT_EQ(s.state.delta(), s.delta);
+  LatusState rebuilt(depth);
+  for (const auto& [_, u] : s.shadow) ASSERT_TRUE(rebuilt.insert_utxo(u));
+  EXPECT_EQ(s.state.commitment(), rebuilt.commitment());
+}
+
+/// One random step on `s`: a fresh insert (which fails when its slot is
+/// taken), a removal of a live UTXO, an insert of a live UTXO's twin (same
+/// nonce, so same slot) or a removal of that twin. The last two, and a
+/// fresh insert into an occupied slot, must fail and change nothing.
+void churn_step(Churned& s, Rng& rng, const std::vector<Address>& owners) {
+  constexpr std::uint64_t kTarget = 24;  // live UTXOs the churn hovers at
+  const unsigned depth = s.state.depth();
+  const Digest commitment_before = s.state.commitment();
+  const std::uint64_t kind = rng.next_below(8);
+  auto random_live = [&]() -> const Utxo& {
+    auto it = s.shadow.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(
+                         rng.next_below(s.shadow.size())));
+    return it->second;
+  };
+  Utxo touched;
+  bool must_fail = false;
+  if (kind < 2 && !s.shadow.empty()) {
+    Utxo twin = random_live();
+    twin.amount += 1 + rng.next_below(5);
+    if (rng.chance(1, 2)) twin.addr = owners[rng.next_below(owners.size())];
+    touched = twin;
+    must_fail = true;
+    if (kind == 0) {
+      EXPECT_FALSE(s.state.insert_utxo(twin));
+    } else {
+      EXPECT_FALSE(s.state.remove_utxo(twin));
+    }
+  } else if (s.shadow.empty() ||
+             rng.chance(kTarget, kTarget + s.shadow.size())) {
+    const Utxo u{owners[rng.next_below(owners.size())],
+                 1 + rng.next_below(1000), rng.next_digest()};
+    const std::uint64_t pos = mst_position(u, depth);
+    touched = u;
+    must_fail = s.shadow.contains(pos);
+    EXPECT_EQ(s.state.insert_utxo(u), !must_fail);
+    if (!must_fail) {
+      s.shadow.emplace(pos, u);
+      s.delta.set(pos);
+    }
+  } else {
+    const Utxo u = random_live();
+    const std::uint64_t pos = mst_position(u, depth);
+    touched = u;
+    EXPECT_TRUE(s.state.remove_utxo(u));
+    s.shadow.erase(pos);
+    s.delta.set(pos);
+  }
+  if (must_fail) EXPECT_EQ(s.state.commitment(), commitment_before);
+  expect_matches_shadow(s, touched, owners);
+}
+
+TEST_P(StateChurn, SupplyConservedUnderChurn) {
+  // The MST is the state's only UTXO store, so every read must agree with
+  // an independent shadow after every step. Halfway through, the state is
+  // copied, and the two copies churn on against their own shadows.
+  constexpr int kSteps = 600;
+  const unsigned depth = GetParam();
+  Rng rng(depth);
+  std::vector<Address> owners;
+  for (int i = 0; i < 4; ++i) owners.push_back(rng.next_digest());
+  Churned s{LatusState(depth), {}, merkle::MstDelta(depth)};
+  for (int step = 0; step < kSteps; ++step) {
+    ASSERT_NO_FATAL_FAILURE(churn_step(s, rng, owners));
+  }
+  Churned copy = s;
+  for (int step = 0; step < kSteps; ++step) {
+    ASSERT_NO_FATAL_FAILURE(churn_step(s, rng, owners));
+    ASSERT_NO_FATAL_FAILURE(churn_step(copy, rng, owners));
+  }
+  EXPECT_NE(s.state.commitment(), copy.state.commitment());
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, StateChurn,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <unordered_map>
 
 #include "crypto/rng.hpp"
@@ -156,6 +157,57 @@ TEST(Mst, EmptyLeafValueStillOccupiesSlot) {
   EXPECT_EQ(mst.occupied_count(), 0u);
   EXPECT_EQ(mst.root(), empty_root);
   EXPECT_FALSE(mst.erase(21));
+}
+
+TEST(Mst, LeafPayloadTravelsWithItsLeaf) {
+  // A payload never enters a hash, so digests and occupancy are those of a
+  // tree filled without payloads. Copies share a leaf's payload; erasing
+  // the leaf drops it from that tree only, and the last tree holding the
+  // leaf frees it.
+  MerkleStateTree plain(6), mst(6);
+  const Digest a = crypto::hash_str(Domain::kUtxo, "a");
+  const Digest b = crypto::hash_str(Domain::kUtxo, "b");
+  auto payload_a = std::make_shared<const int>(1);
+  const std::weak_ptr<const int> watch_a = payload_a;
+  ASSERT_TRUE(plain.insert(9, a));
+  ASSERT_TRUE(plain.insert(40, b));
+  ASSERT_TRUE(mst.insert(9, a, std::move(payload_a)));
+  ASSERT_TRUE(mst.insert(40, b, std::make_shared<const int>(2)));
+  EXPECT_EQ(mst.root(), plain.root());
+  EXPECT_EQ(mst.leaf(9), plain.leaf(9));
+  EXPECT_EQ(mst.occupied_positions(), plain.occupied_positions());
+  EXPECT_EQ(*static_cast<const int*>(mst.payload(9)), 1);
+  EXPECT_EQ(mst.payload(10), nullptr);    // empty slot
+  EXPECT_EQ(plain.payload(9), nullptr);   // filled without a payload
+  EXPECT_EQ(mst.payload(64 + 9), nullptr);  // out of range, not slot 9
+  EXPECT_FALSE(mst.occupied(64 + 9));
+  EXPECT_EQ(mst.leaf(64 + 9), std::nullopt);
+
+  MerkleStateTree copy = mst;
+  EXPECT_EQ(copy.payload(9), mst.payload(9));  // shared, not duplicated
+  ASSERT_TRUE(mst.erase(9));
+  EXPECT_EQ(mst.payload(9), nullptr);
+  EXPECT_FALSE(mst.occupied(9));
+  EXPECT_FALSE(watch_a.expired());
+  EXPECT_EQ(*static_cast<const int*>(copy.payload(9)), 1);
+  EXPECT_EQ(copy.leaf(9), std::optional<Digest>(a));
+  EXPECT_TRUE(copy.occupied(9));
+  EXPECT_EQ(copy.root(), plain.root());
+  ASSERT_TRUE(copy.erase(9));
+  EXPECT_TRUE(watch_a.expired());
+
+  // Refilling the slot in one copy gives it the new payload alone.
+  ASSERT_TRUE(copy.insert(9, a, std::make_shared<const int>(3)));
+  EXPECT_EQ(*static_cast<const int*>(copy.payload(9)), 3);
+  EXPECT_EQ(mst.payload(9), nullptr);
+  EXPECT_EQ(copy.root(), plain.root());
+
+  std::vector<std::pair<std::uint64_t, int>> seen;
+  copy.for_each_leaf([&seen](std::uint64_t pos, const void* payload) {
+    seen.emplace_back(pos, *static_cast<const int*>(payload));
+  });
+  EXPECT_EQ(seen,
+            (std::vector<std::pair<std::uint64_t, int>>{{9, 3}, {40, 2}}));
 }
 
 TEST(MstDeltaTest, PaperAppendixAExample) {

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the CCTP benchmark, with a verdict for
-each end-to-end metric.
+each end-to-end metric; or one traced run per side and workload, to show
+that no count moved.
 
     python3 tools/pair_bench.py --parent DIR --change DIR --workload W \\
         --seeds A-B [--seconds 10]
+    python3 tools/pair_bench.py --parent DIR --change DIR --counts \\
+        --seed S [--seconds 3]
 
 DIR is the root of a checkout. For each seed from A to B, one pair runs
 `python3 cctpbench/run.py --workload W --seed S --seconds X --trace 0` in
@@ -28,6 +31,17 @@ that holds:
 Last it prints each side's runs that failed to produce a result and its
 failed/attempted operation counts summed over the runs. A pair with a
 failed run counts for no metric. The exit code is 1 when a run failed.
+
+With --counts, for each workload of the change's BENCHMARK.json, one run of
+`cctpbench/run.py --workload W --seed S --seconds X --trace 1` goes in each
+checkout, the parent's first. The tool prints both sides' correct,
+attempted and failed counts and their per-layer time metrics (those whose
+unit contains "ms", and obs.trace_overhead) side by side, then lists every
+other per-layer metric whose value differs between the sides. Those are
+counts and ratios of counts, which a seed fixes, so the exit code is 1 when
+any of them, or the correct, attempted or failed field, differs, or a run
+failed.
+
 Nothing in either checkout is edited; run.py writes only its build
 directory, .bench_build/.
 """
@@ -51,18 +65,21 @@ def parse_seeds(text):
     return list(range(first, last + 1))
 
 
-def end_to_end_metrics(checkout):
+def benchmark_spec(checkout):
     with open(os.path.join(checkout, "BENCHMARK.json")) as f:
-        spec = json.load(f)
+        return json.load(f)
+
+
+def end_to_end_metrics(checkout):
     return [(m["name"], m["better"], float(m["bound"]))
-            for m in spec["end_to_end"]]
+            for m in benchmark_spec(checkout)["end_to_end"]]
 
 
-def run_once(checkout, workload, seed, seconds):
-    """The result JSON of one untraced run, or None if the run failed."""
+def run_once(checkout, workload, seed, seconds, trace=0):
+    """The result JSON of one run, or None if the run failed."""
     cmd = [sys.executable, os.path.join("cctpbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", "0"]
+           "--seconds", repr(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
@@ -102,20 +119,73 @@ def verdict(parent, change, better, bound):
     return result, won, spread
 
 
+def is_time_metric(metric):
+    return "ms" in metric["unit"] or metric["name"] == "obs.trace_overhead"
+
+
+def compare_counts(sides, seed, seconds):
+    """--counts mode; returns the exit code."""
+    spec = benchmark_spec(sides["change"])
+    moved = 0
+    for workload in [w["name"] for w in spec["workloads"]]:
+        runs = {side: run_once(sides[side], workload, seed, seconds, trace=1)
+                for side in ("parent", "change")}
+        print("%s, seed %d, %g s traced" % (workload, seed, seconds))
+        failed = [side for side in runs if runs[side] is None]
+        if failed:
+            moved += 1
+            print("  run failed: " + ", ".join(failed))
+            continue
+        for key in ("correct", "attempted", "failed"):
+            differs = runs["parent"][key] != runs["change"][key]
+            moved += differs
+            print("  %-28s %s -> %s%s" % (key, runs["parent"][key],
+                                          runs["change"][key],
+                                          "  DIFFERS" if differs else ""))
+        differing = []
+        for metric in spec["per_layer"]:
+            name = metric["name"]
+            values = [runs[side]["metrics"][name]["value"]
+                      for side in ("parent", "change")]
+            if is_time_metric(metric):
+                print("  %-28s %.4g -> %.4g %s" %
+                      (name, values[0], values[1], metric["unit"]))
+            elif values[0] != values[1]:
+                differing.append("  %-28s %.6g -> %.6g %s  DIFFERS" %
+                                 (name, values[0], values[1], metric["unit"]))
+        moved += len(differing)
+        print("\n".join(differing) if differing else
+              "  every other per-layer metric is equal")
+    return 1 if moved else 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, type=parse_seeds,
+    parser.add_argument("--workload")
+    parser.add_argument("--seeds", type=parse_seeds,
                         help="A-B, both included")
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--counts", action="store_true",
+                        help="one traced run per side and workload")
+    parser.add_argument("--seed", type=int, help="the seed of --counts")
+    parser.add_argument("--seconds", type=float,
+                        help="default 10, or 3 with --counts")
     args = parser.parse_args()
+    if args.counts and args.seed is None:
+        parser.error("--counts needs --seed")
+    if not args.counts and (args.workload is None or args.seeds is None):
+        parser.error("--workload and --seeds are required without --counts")
 
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
+    if args.counts:
+        return compare_counts(sides, args.seed,
+                              3.0 if args.seconds is None else args.seconds)
+    if args.seconds is None:
+        args.seconds = 10.0
     metrics = end_to_end_metrics(sides["change"])
     results = {"parent": [], "change": []}
     for index, seed in enumerate(args.seeds):
